@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build test vet race short fuzz bench bench-train bench-score bench-serve serve-smoke train-smoke score-diff fmt serve-chaos crash-chaos obs-smoke loadgen-smoke metrics-lint
+.PHONY: ci build test vet race short fuzz fuzz-smoke bench bench-train bench-score bench-serve bench-vet serve-smoke train-smoke score-diff fmt serve-chaos crash-chaos obs-smoke loadgen-smoke metrics-lint
 
 # ci is the full gate: formatting and static analysis, a clean build of
 # every package and the test suite under the race detector, plus a smoke
@@ -10,8 +10,9 @@ GO ?= go
 # the crash-recovery suite, a one-iteration spin of the serving
 # throughput benchmark, an end-to-end scrape of the observability
 # surfaces, a short open-loop load-generator run against a live server,
-# and the metrics naming/statz-drift lint.
-ci: fmt vet build race train-smoke score-diff serve-chaos crash-chaos serve-smoke obs-smoke loadgen-smoke metrics-lint
+# the metrics naming/statz-drift lint, a short budget for the decoder fuzz
+# targets, and a vet and short test pass over the separate bench module.
+ci: fmt vet build race train-smoke score-diff serve-chaos crash-chaos serve-smoke obs-smoke loadgen-smoke metrics-lint fuzz-smoke bench-vet
 
 # fmt fails (listing the offenders) if any file is not gofmt-clean.
 fmt:
@@ -135,14 +136,31 @@ bench-serve:
 	CFA_LOADGEN_SWEEP=1 $(GO) test -run TestLoadgenSweep -count 1 -v \
 		-timeout 20m ./cmd/cfa/ | tee -a BENCH_$$(date +%Y%m%d).json
 
-# serve-smoke gives every serving-throughput benchmark case a single
-# iteration so `make ci` exercises the batch and per-record HTTP paths at
-# each shard count without paying for a full measurement.
+# serve-smoke gives every serving-throughput benchmark case and the
+# request-decode benchmark a single iteration so `make ci` exercises the
+# batch and per-record HTTP paths at each shard count, and both decoders,
+# without paying for a full measurement.
 serve-smoke:
-	$(GO) test -run '^$$' -bench '^BenchmarkServeThroughput$$' -benchtime 1x \
+	$(GO) test -run '^$$' -bench '^Benchmark(ServeThroughput|DecodeScoreBatch)$$' -benchtime 1x \
 		./internal/serve/
+
+# bench-vet vets and short-tests the benchmark in bench/, a module of its
+# own that root `go build ./...` and `go test ./...` never compile, so a
+# change to a package it drives cannot break it unnoticed.
+bench-vet:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # fuzz gives each fuzz target a brief budget beyond its seed corpus.
 fuzz:
 	$(GO) test ./internal/features/ -fuzz FuzzTransformValue -fuzztime 10s
 	$(GO) test ./internal/features/ -fuzz FuzzReadCSV -fuzztime 10s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeScoreRequest$$' -fuzztime 10s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeBatchRequest$$' -fuzztime 10s
+	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseTraceContext$$' -fuzztime 10s
+
+# fuzz-smoke is fuzz's short budget for `make ci`: the request-body
+# decoders against their encoding/json oracle and the trace-header parser.
+fuzz-smoke:
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeScoreRequest$$' -fuzztime 3s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeBatchRequest$$' -fuzztime 3s
+	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseTraceContext$$' -fuzztime 3s

@@ -86,3 +86,35 @@ func TestNextIDUnique(t *testing.T) {
 		seen[id] = true
 	}
 }
+
+// FuzzParseTraceContext holds the X-CFA-Trace parser, which sees every
+// score request's untrusted header, to its contract: it never panics, and
+// whatever it accepts is a valid context that re-encodes to a header
+// parsing back to the same context.
+func FuzzParseTraceContext(f *testing.F) {
+	valid := NewTraceContext().Header()
+	f.Add(valid)
+	f.Add(strings.ToUpper(valid))
+	f.Add(valid[:len(valid)-2] + "ff")
+	f.Add(valid[:len(valid)-1])
+	f.Add(valid + "0")
+	f.Add(strings.Repeat("0", 32) + "-" + strings.Repeat("0", 16) + "-01")
+	f.Add(strings.Repeat("f", 32) + "-" + strings.Repeat("f", 16) + "-00")
+	f.Add(strings.Repeat("-", traceEncodedLen))
+	f.Add("")
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, ok := ParseTraceContext(s)
+		if !ok {
+			if tc != (TraceContext{}) {
+				t.Fatalf("rejected %q but returned %+v", s, tc)
+			}
+			return
+		}
+		if !tc.Valid() {
+			t.Fatalf("accepted %q as an invalid context %+v", s, tc)
+		}
+		if got, ok := ParseTraceContext(tc.Header()); !ok || got != tc {
+			t.Fatalf("%q: header %q parses back as %+v ok=%v, want %+v", s, tc.Header(), got, ok, tc)
+		}
+	})
+}

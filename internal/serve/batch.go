@@ -281,7 +281,7 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	var req BatchScoreRequest
-	if !s.decodeBody(ctx, w, r, s.cfg.MaxBatchBodyBytes, &req) {
+	if !s.decodeBody(ctx, w, r, s.cfg.MaxBatchBodyBytes, func(b []byte) error { return decodeBatchRequest(b, &req) }) {
 		return
 	}
 	tr.Hop("decode")

@@ -142,9 +142,11 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"stale": reg.Counter("cfa_checkpoint_restore_total",
 				"Boot-time checkpoint restore attempts by outcome.", obs.L("outcome", "stale")),
 		},
+		// 50µs to 6.6s: fine enough that a sub-millisecond request's
+		// quantile is measured, not interpolated inside the first bucket.
 		latency: reg.Histogram("cfa_request_seconds",
 			"Score request latency: queue wait, body read and scoring.",
-			obs.ExpBuckets(0.0005, 2, 14)),
+			obs.ExpBuckets(0.00005, 2, 18)),
 		scoreNormal: reg.Histogram("cfa_score",
 			"Raw record scores by verdict at the calibrated threshold.",
 			obs.LinearBuckets(0.05, 0.05, 19), obs.L("verdict", "normal")),

@@ -724,7 +724,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	var req ScoreRequest
-	if !s.decodeBody(ctx, w, r, s.cfg.MaxBodyBytes, &req) {
+	if !s.decodeBody(ctx, w, r, s.cfg.MaxBodyBytes, func(b []byte) error { return decodeScoreRequest(b, &req) }) {
 		return
 	}
 	tr.Hop("decode")
@@ -822,19 +822,23 @@ func (s *Server) shedReplyEst(w http.ResponseWriter, msg string) {
 	writeJSONError(w, http.StatusTooManyRequests, msg)
 }
 
-// decodeBody reads one JSON request body, bounded in bytes by limit and
-// in time by ctx's deadline. Slow clients may not stall a handler
-// forever: the body must arrive before the request deadline. (Best
-// effort — not every ResponseWriter supports read deadlines.) The
-// deadline is cleared once the body is in so a keep-alive connection is
-// reusable. On failure the error response has been written and false is
-// returned.
-func (s *Server) decodeBody(ctx context.Context, w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+// decodeBody reads one request body to EOF, bounded in bytes by limit and
+// in time by ctx's deadline, and parses it with decode (see wire.go).
+// Slow clients may not stall a handler forever: the body must arrive
+// before the request deadline. (Best effort — not every ResponseWriter
+// supports read deadlines.) The deadline is cleared once the body is in
+// so a keep-alive connection is reusable. On failure the error response
+// has been written and false is returned.
+func (s *Server) decodeBody(ctx context.Context, w http.ResponseWriter, r *http.Request, limit int64, decode func([]byte) error) bool {
 	rc := http.NewResponseController(w)
 	if deadline, ok := ctx.Deadline(); ok {
 		rc.SetReadDeadline(deadline)
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		err = decode(body)
+	}
+	if err != nil {
 		s.met.badRequests.Inc()
 		var tooBig *http.MaxBytesError
 		switch {

@@ -18,6 +18,7 @@ import (
 	"crossfeature/internal/core"
 	"crossfeature/internal/features"
 	"crossfeature/internal/ml/nbayes"
+	"crossfeature/internal/obs"
 )
 
 // testFeatureNames is the tiny schema the test bundles use.
@@ -254,6 +255,26 @@ func TestHealthReadyStatz(t *testing.T) {
 	resp.Body.Close()
 	if st.Requests != 1 || st.RecordsScored != 3 || st.Streams != 1 {
 		t.Errorf("statz = %+v", st)
+	}
+}
+
+// TestRequestLatencyResolvesSubMillisecond pins the request-latency
+// buckets: requests that all finish in 100-400µs must read as such, not
+// as an interpolation inside a 0.5ms first bucket (which put every p50 at
+// 0.25ms and every p99 at 0.495ms), while multi-second tails stay inside
+// the finite buckets.
+func TestRequestLatencyResolvesSubMillisecond(t *testing.T) {
+	m := newServerMetrics(obs.NewRegistry())
+	for i := 0; i < 100; i++ {
+		m.latency.Observe(100e-6 + 3e-6*float64(i))
+	}
+	p := m.latency.SnapshotPoint()
+	p50, p99 := p.Quantile(0.5), p.Quantile(0.99)
+	if p50 >= 0.0005 || p99 >= 0.0005 || p50 >= p99 {
+		t.Errorf("p50 %.6fs, p99 %.6fs: want both under 0.5ms and p50 < p99", p50, p99)
+	}
+	if top := p.Bounds[len(p.Bounds)-1]; top < 4.096 {
+		t.Errorf("top finite bucket %gs, want at least 4.096s", top)
 	}
 }
 
