@@ -1,18 +1,20 @@
 GO ?= go
 
-.PHONY: ci build test vet race short fuzz fuzz-smoke bench bench-train bench-score bench-serve bench-vet serve-smoke train-smoke score-diff fmt serve-chaos crash-chaos obs-smoke loadgen-smoke metrics-lint
+.PHONY: ci build test vet race short fuzz fuzz-smoke bench bench-train bench-score bench-serve bench-vet serve-smoke train-smoke score-smoke score-diff fmt serve-chaos crash-chaos obs-smoke loadgen-smoke metrics-lint
 
 # ci is the full gate: formatting and static analysis, a clean build of
 # every package and the test suite under the race detector, plus a smoke
 # pass over the training-path differential tests, a one-iteration spin of
 # the training benchmarks so a broken fast path fails fast, the compiled
-# scoring-kernel differential suite, a soak of the serving chaos suite,
+# scoring-kernel differential suite, a one-iteration spin of the
+# single-row scoring benchmark, a soak of the serving chaos suite,
 # the crash-recovery suite, a one-iteration spin of the serving
 # throughput benchmark, an end-to-end scrape of the observability
 # surfaces, a short open-loop load-generator run against a live server,
-# the metrics naming/statz-drift lint, a short budget for the decoder fuzz
-# targets, and a vet and short test pass over the separate bench module.
-ci: fmt vet build race train-smoke score-diff serve-chaos crash-chaos serve-smoke obs-smoke loadgen-smoke metrics-lint fuzz-smoke bench-vet
+# the metrics naming/statz-drift lint, a short budget for the decoder and
+# scoring fuzz targets, and a vet and short test pass over the separate
+# bench module.
+ci: fmt vet build race train-smoke score-diff score-smoke serve-chaos crash-chaos serve-smoke obs-smoke loadgen-smoke metrics-lint fuzz-smoke bench-vet
 
 # fmt fails (listing the offenders) if any file is not gofmt-clean.
 fmt:
@@ -61,13 +63,23 @@ metrics-lint:
 		-count 1 ./internal/serve/
 
 # score-diff re-runs the compiled-kernel differential suites under the
-# race detector: each learner's flat form against its pointer-walking
-# reference, plus the end-to-end Score/ScoreEvents/ScoreAll fuzz and the
-# stale-compile invalidation regression in internal/core.
+# race detector: C4.5's and RIPPER's flat forms against their pointer
+# walks, the fused Naive Bayes slab against every model's own tables
+# (and its refusal of mis-shaped ensembles), plus, in internal/core, the
+# end-to-end Score/ScoreEvents/ScoreAll differential and the seed corpus
+# of its fuzz target, the compiled normal-level pass against its oracle,
+# the NB footprint pin and the stale-compile invalidation regression.
 score-diff:
-	$(GO) test -race -run 'TestCompiledDifferential' -count 1 ./internal/ml/...
-	$(GO) test -race -run 'TestScoreKernelDifferential|TestCompileInvalidation' \
-		-count 1 ./internal/core/
+	$(GO) test -race -run 'TestCompiledDifferential|TestFuseRejectsMisshapes' -count 1 ./internal/ml/...
+	$(GO) test -race -count 1 \
+		-run 'TestScoreKernelDifferential|FuzzScoreEvents|TestNormalLevelsMatchOracle|TestCompileStatsNaiveBayes|TestCompileInvalidation' \
+		./internal/core/
+
+# score-smoke gives each learner's single-row scoring benchmark one
+# iteration, so `make ci` exercises the benchmark bodies (and their
+# 140-feature training) without paying for a full measurement.
+score-smoke:
+	$(GO) test -run '^$$' -bench '^BenchmarkScoreEvents$$' -benchtime 1x .
 
 # train-smoke re-runs the columnar-vs-naive differential tests and gives
 # each training benchmark a single iteration; it exists so `make ci`
@@ -114,12 +126,14 @@ bench-train:
 
 # bench-score measures only the inference paths on the same dataset: the
 # per-record pointer-walking reference (BenchmarkAnalyzerScore) against
-# the compiled batch path (BenchmarkScoreAll), plus each learner's
-# single-model predict kernels. Append the output to the dated BENCH file
-# when recording a before/after for a scoring-path change.
+# the compiled batch path (BenchmarkScoreAll) and the compiled single-row
+# path (BenchmarkScoreEvents, one record per call as a per-node server
+# scores), plus the C4.5 and RIPPER single-model predict kernels. Append
+# the output to the dated BENCH file when recording a before/after for a
+# scoring-path change.
 bench-score:
 	$(GO) test -run '^$$' -timeout 30m \
-		-bench '^Benchmark(AnalyzerScore|ScoreAll|C45Predict|RipperPredict|NBPredict)$$' \
+		-bench '^Benchmark(AnalyzerScore|ScoreAll|ScoreEvents|C45Predict|RipperPredict)$$' \
 		-benchmem -count 3 .
 
 # bench-serve measures end-to-end serving throughput over real HTTP:
@@ -157,10 +171,13 @@ fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeScoreRequest$$' -fuzztime 10s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeBatchRequest$$' -fuzztime 10s
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseTraceContext$$' -fuzztime 10s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzScoreEvents$$' -fuzztime 10s
 
 # fuzz-smoke is fuzz's short budget for `make ci`: the request-body
-# decoders against their encoding/json oracle and the trace-header parser.
+# decoders against their encoding/json oracle, the trace-header parser,
+# and compiled single-row scoring against the reference combination rules.
 fuzz-smoke:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeScoreRequest$$' -fuzztime 3s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeBatchRequest$$' -fuzztime 3s
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseTraceContext$$' -fuzztime 3s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzScoreEvents$$' -fuzztime 3s

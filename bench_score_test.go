@@ -1,7 +1,8 @@
 // Scoring-path benchmarks: the per-record pointer-walking reference
 // against the compiled flat kernels, per base learner and end-to-end
-// through Analyzer.ScoreAll. Same synthetic full-scale dataset as the
-// training benchmarks so `make bench-score` isolates inference cost.
+// through Analyzer.ScoreAll and single-row Analyzer.ScoreEvents. Same
+// synthetic full-scale dataset as the training benchmarks so `make
+// bench-score` isolates inference cost.
 package crossfeature_test
 
 import (
@@ -89,6 +90,26 @@ func BenchmarkScoreAll(b *testing.B) {
 	}
 }
 
+// BenchmarkScoreEvents is the per-node serving shape in-process: one row
+// per ScoreEvents call, cycling through the dataset's rows, so ns/op is
+// the compiled cost of scoring one record with all L sub-models.
+func BenchmarkScoreEvents(b *testing.B) {
+	ds, an := scoreBench(b)
+	for _, name := range []string{"C45", "RIPPER", "NBC"} {
+		a := an[name]
+		a.Compile()
+		b.Run(name, func(b *testing.B) {
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := i % ds.Len()
+				if got := a.ScoreEvents(ds.X[r:r+1], core.Probability); len(got) != 1 {
+					b.Fatal("short result")
+				}
+			}
+		})
+	}
+}
+
 // benchSingleModel measures one sub-model's class-distribution prediction
 // over every dataset row: the pointer/table reference against its
 // compiled flat form.
@@ -133,13 +154,5 @@ func BenchmarkC45Predict(b *testing.B) {
 func BenchmarkRipperPredict(b *testing.B) {
 	benchSingleModel(b, func(ds *ml.Dataset) (ml.Classifier, error) {
 		return ripper.NewLearner().Fit(ds, benchTarget)
-	})
-}
-
-// BenchmarkNBPredict compares nested log-prob table lookups with the
-// packed slab.
-func BenchmarkNBPredict(b *testing.B) {
-	benchSingleModel(b, func(ds *ml.Dataset) (ml.Classifier, error) {
-		return nbayes.NewLearner().Fit(ds, benchTarget)
 	})
 }

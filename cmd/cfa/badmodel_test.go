@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"crossfeature/internal/core"
+	"crossfeature/internal/ml/nbayes"
 )
 
 // TestCommandsRejectBadModels drives every model-consuming subcommand
@@ -63,6 +64,19 @@ func TestCommandsRejectBadModels(t *testing.T) {
 			defer f.Close()
 			core.RegisterGobModels()
 			if err := gob.NewEncoder(f).Encode(struct{ Threshold float64 }{0.5}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"misshaped-nb", func(t *testing.T, path string) {
+			// A well-framed bundle whose first NB table is a class row
+			// short: it must fail validation, not panic the compile.
+			b, err := core.LoadBundleFile(good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := b.Analyzer.Models[0].(*nbayes.Model)
+			m.LogCond[1] = m.LogCond[1][:len(m.LogCond[1])-1]
+			if err := core.WriteSnapshotFile(path, b); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -30,10 +30,13 @@ type CompileStats struct {
 // a snapshot of the analyzer's Models slice. Freshness is checked against
 // that snapshot so swapping a sub-model (retraining, ablation masking)
 // invalidates the generation, mirroring how a mutated Dataset invalidates
-// its cached column view.
+// its cached column view. A Naive Bayes ensemble compiles to one fused
+// slab; any other ensemble compiles model by model.
 type compiledSet struct {
-	kernels []ml.ScoreKernel // nil entries score via the reference model
+	fused   *nbayes.Fused    // non-nil: every model scores through it
+	kernels []ml.ScoreKernel // per model when not fused; nil entries score via the reference model
 	src     []ml.Classifier  // the Models values the kernels came from
+	bufLen  int              // scratch length scoring needs
 	stats   CompileStats
 }
 
@@ -52,12 +55,13 @@ func (c *compiledSet) fresh(models []ml.Classifier) bool {
 
 // Compile builds (or, after a model swap, rebuilds) the analyzer's flat
 // inference kernels: contiguous node arrays for C4.5 trees, condition
-// matrices for RIPPER rule sets and packed log-prob slabs for Naive
-// Bayes. Scoring uses the kernels automatically once built; calling
-// Compile up front just moves the one-time cost to load time (the serve
-// path does this on every bundle load so no request pays it). The
-// returned stats describe the build. Compilation never changes scores:
-// every kernel is pinned bit-identical to its reference model.
+// matrices for RIPPER rule sets and one fused attribute-major log-prob
+// slab for a Naive Bayes ensemble. Scoring uses the kernels automatically
+// once built; calling Compile up front just moves the one-time cost to
+// load time (the serve path does this on every bundle load so no request
+// pays it). The returned stats describe the build. Compilation never
+// changes scores: every kernel is pinned bit-identical to its reference
+// model.
 func (a *Analyzer) Compile() CompileStats {
 	return a.compiled().stats
 }
@@ -79,11 +83,11 @@ func (a *Analyzer) compiled() *compiledSet {
 }
 
 // compiledOrNil returns the kernels only when the analyzer has opted
-// into compiled scoring: an analyzer that was never Compiled (nor
-// batch-scored) keeps the reference pointer-walking path. Once a
-// generation exists, a stale one — a sub-model swapped by retraining or
-// ablation — is rebuilt rather than abandoned, so Score stays on the
-// compiled path across model updates.
+// into compiled scoring: an analyzer that was never Compiled, trained or
+// batch-scored in this process keeps the reference pointer-walking path.
+// Once a generation exists, a stale one — a sub-model swapped by
+// retraining or ablation — is rebuilt rather than abandoned, so Score
+// stays on the compiled path across model updates.
 func (a *Analyzer) compiledOrNil() *compiledSet {
 	c := a.comp.Load()
 	if c == nil {
@@ -98,9 +102,18 @@ func (a *Analyzer) compiledOrNil() *compiledSet {
 func (a *Analyzer) buildCompiled() *compiledSet {
 	start := time.Now()
 	c := &compiledSet{
-		kernels: make([]ml.ScoreKernel, len(a.Models)),
-		src:     append([]ml.Classifier(nil), a.Models...),
+		src:    append([]ml.Classifier(nil), a.Models...),
+		bufLen: a.maxCard(),
 	}
+	if f := nbayes.Fuse(a.Attrs, a.Models); f != nil {
+		c.fused = f
+		c.bufLen = max(c.bufLen, f.Width())
+		c.stats.Models = f.NumModels()
+		c.stats.TableEntries = f.NumEntries()
+		c.stats.Duration = time.Since(start)
+		return c
+	}
+	c.kernels = make([]ml.ScoreKernel, len(a.Models))
 	for i, m := range a.Models {
 		kc, ok := m.(ml.KernelCompiler)
 		if !ok {
@@ -114,17 +127,42 @@ func (a *Analyzer) buildCompiled() *compiledSet {
 			c.stats.TreeNodes += t.NumNodes()
 		case *ripper.Compiled:
 			c.stats.RuleConds += t.NumConds()
-		case *nbayes.Compiled:
-			c.stats.TableEntries += t.NumEntries()
 		}
 	}
 	c.stats.Duration = time.Since(start)
 	return c
 }
 
+// prepare readies buf for scoring event x: a fused set accumulates every
+// model's log posterior into it once. buf must have length >= bufLen.
+func (c *compiledSet) prepare(x []int, buf []float64) {
+	if c.fused != nil {
+		c.fused.Accumulate(x, buf)
+	}
+}
+
+// trueScore returns sub-model i's probability for class v (>= 0) of event
+// x and whether v is its argmax, through the fused slab, the model's
+// kernel, or the reference model when it has neither. With a fused set,
+// buf holds the event's prepared accumulation and each model is scored at
+// most once per prepare; otherwise buf is scratch.
+func (c *compiledSet) trueScore(m ml.Classifier, i int, x []int, v int, buf []float64) (p float64, match bool) {
+	if c.fused != nil {
+		return c.fused.TrueScore(buf, i, v)
+	}
+	if k := c.kernels[i]; k != nil {
+		return k.TrueScore(x, v, buf)
+	}
+	pr := ml.ProbaInto(m, x, buf)
+	if v < len(pr) {
+		p = pr[v]
+	}
+	return p, ml.ArgMax(pr) == v
+}
+
 // kernelScore scores one event through the compiled kernels, replicating
 // avgMatchCount/avgProbability — including the missing-feature skip and
-// partial-average debias — bit for bit.
+// partial-average debias — bit for bit. buf must have length >= c.bufLen.
 func (a *Analyzer) kernelScore(c *compiledSet, x []int, s Scorer, buf []float64) float64 {
 	levels := a.NormalProb
 	if s == MatchCount {
@@ -133,6 +171,7 @@ func (a *Analyzer) kernelScore(c *compiledSet, x []int, s Scorer, buf []float64)
 	haveLevels := len(levels) == len(a.Models)
 	var sum, total, availLevel float64
 	anyMissing := false
+	c.prepare(x, buf)
 	for i, m := range a.Models {
 		if m == nil {
 			continue
@@ -145,18 +184,7 @@ func (a *Analyzer) kernelScore(c *compiledSet, x []int, s Scorer, buf []float64)
 		if haveLevels {
 			availLevel += levels[i]
 		}
-		v := x[i]
-		var p float64
-		var match bool
-		if k := c.kernels[i]; k != nil {
-			p, match = k.TrueScore(x, v, buf)
-		} else {
-			pr := ml.ProbaInto(m, x, buf)
-			match = ml.ArgMax(pr) == v
-			if v < len(pr) {
-				p = pr[v]
-			}
-		}
+		p, match := c.trueScore(m, i, x, x[i], buf)
 		if s == MatchCount {
 			if match {
 				sum++
@@ -171,14 +199,16 @@ func (a *Analyzer) kernelScore(c *compiledSet, x []int, s Scorer, buf []float64)
 	return a.debias(sum/total, availLevel, total, anyMissing, levels)
 }
 
-// ScoreAll scores every row of ds through the compiled kernels and the
-// dataset's columnar view, compiling on first use. The accumulation is
-// model-major — each sub-model streams down its column with buffers
-// reused across rows — but visits models in the same ascending order per
-// row as the per-event path, so the results are bit-identical to calling
-// Score on each row. A dataset whose schema width differs from the
-// analyzer's, or whose rows violate its own schema, falls back to the
-// row-major per-event path (which tolerates anything).
+// ScoreAll scores every row of ds through the compiled kernels, compiling
+// on first use. A fused Naive Bayes ensemble scores row by row with one
+// reused accumulator. Other ensembles score through the dataset's
+// columnar view: the accumulation is model-major — each sub-model streams
+// down its column with buffers reused across rows — but visits models in
+// the same ascending order per row as the per-event path. Either way the
+// results are bit-identical to calling Score on each row. A dataset whose
+// schema width differs from the analyzer's, or whose rows violate its own
+// schema, falls back to the row-major per-event path (which tolerates
+// anything).
 func (a *Analyzer) ScoreAll(ds *ml.Dataset, s Scorer) []float64 {
 	if ds == nil {
 		return nil
@@ -187,11 +217,11 @@ func (a *Analyzer) ScoreAll(ds *ml.Dataset, s Scorer) []float64 {
 	if len(out) == 0 {
 		return out
 	}
-	if len(ds.Attrs) != len(a.Attrs) || ds.Validate() != nil {
+	c := a.compiled()
+	if c.fused != nil || len(ds.Attrs) != len(a.Attrs) || ds.Validate() != nil {
 		a.scoreEventsInto(ds.X, s, out)
 		return out
 	}
-	c := a.compiled()
 	cols := ds.Columns()
 	levels := a.NormalProb
 	if s == MatchCount {
@@ -204,7 +234,7 @@ func (a *Analyzer) ScoreAll(ds *ml.Dataset, s Scorer) []float64 {
 		avail      = make([]float64, n)
 		totals     = make([]int32, n)
 		anyMissing = make([]bool, n)
-		scratch    = make([]float64, a.maxCard())
+		scratch    = make([]float64, c.bufLen)
 		pbuf       []float64
 		mbuf       []bool
 	)
@@ -218,8 +248,7 @@ func (a *Analyzer) ScoreAll(ds *ml.Dataset, s Scorer) []float64 {
 		if haveLevels {
 			lvl = levels[i]
 		}
-		k := c.kernels[i]
-		if bk, ok := k.(ml.BatchScoreKernel); ok {
+		if bk, ok := c.kernels[i].(ml.BatchScoreKernel); ok {
 			if pbuf == nil {
 				pbuf = make([]float64, n)
 				mbuf = make([]bool, n)
@@ -250,17 +279,7 @@ func (a *Analyzer) ScoreAll(ds *ml.Dataset, s Scorer) []float64 {
 			}
 			totals[r]++
 			avail[r] += lvl
-			var p float64
-			var match bool
-			if k != nil {
-				p, match = k.TrueScore(ds.X[r], v, scratch)
-			} else {
-				pr := ml.ProbaInto(m, ds.X[r], scratch)
-				match = ml.ArgMax(pr) == v
-				if v < len(pr) {
-					p = pr[v]
-				}
-			}
+			p, match := c.trueScore(m, i, ds.X[r], v, scratch)
 			if s == MatchCount {
 				if match {
 					sum[r]++
@@ -296,7 +315,7 @@ func (a *Analyzer) scoreEventsInto(xs [][]int, s Scorer, out []float64) {
 		return
 	}
 	c := a.compiled()
-	buf := make([]float64, a.maxCard())
+	buf := make([]float64, c.bufLen)
 	for i, x := range xs {
 		out[i] = a.kernelScore(c, x, s, buf)
 	}

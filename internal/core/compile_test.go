@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -184,5 +185,107 @@ func TestCompileInvalidation(t *testing.T) {
 	}
 	if want := a.AvgProbability(row); after[len(after)-1] != want {
 		t.Fatalf("appended row scored %v, reference %v", after[len(after)-1], want)
+	}
+}
+
+// TestCompileStatsNaiveBayes pins a Naive Bayes analyzer's compiled
+// footprint to the per-model formula: the fused slab holds each model's
+// priors plus one (class × value) table per other attribute, no more.
+func TestCompileStatsNaiveBayes(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	ds := compileTestDataset(rng, 200)
+	a, err := Train(ds, nbayes.NewLearner(), TrainOptions{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Models[1] = nil // a masked slot keeps its attribute's blocks
+	models, entries := 0, 0
+	for i, m := range a.Models {
+		if m == nil {
+			continue
+		}
+		models++
+		classes := a.Attrs[i].Card
+		entries += classes
+		for j, at := range a.Attrs {
+			if j != i {
+				entries += classes * at.Card
+			}
+		}
+	}
+	st := a.Compile()
+	if st.Models != models || st.TableEntries != entries {
+		t.Fatalf("CompileStats = %d models / %d entries, per-model formula %d / %d",
+			st.Models, st.TableEntries, models, entries)
+	}
+	if st.TreeNodes != 0 || st.RuleConds != 0 {
+		t.Fatalf("NB analyzer reports tree/rule footprint: %+v", st)
+	}
+}
+
+// normalLevelsOracle is the reference normal-level pass: each sub-model's
+// own class distribution, row by row, model by model.
+func normalLevelsOracle(a *Analyzer, ds *ml.Dataset) (match, prob []float64) {
+	l := len(a.Models)
+	match = make([]float64, l)
+	prob = make([]float64, l)
+	n := float64(ds.Len())
+	buf := make([]float64, a.maxCard())
+	for i, m := range a.Models {
+		if m == nil {
+			continue
+		}
+		var mt, pr float64
+		for _, x := range ds.X {
+			p := ml.ProbaInto(m, x, buf)
+			if ml.ArgMax(p) == x[i] {
+				mt++
+			}
+			if v := x[i]; v >= 0 && v < len(p) {
+				pr += p[v]
+			}
+		}
+		match[i] = mt / n
+		prob[i] = pr / n
+	}
+	return match, prob
+}
+
+// TestNormalLevelsMatchOracle pins the compiled normal-level pass that
+// Train runs bit-equal to the reference pass, for every base learner and
+// with constant-feature slots left empty.
+func TestNormalLevelsMatchOracle(t *testing.T) {
+	learners := []ml.Learner{c45.NewLearner(), ripper.NewLearner(), nbayes.NewLearner()}
+	for li, learner := range learners {
+		for _, skip := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(300 + li)))
+			ds := compileTestDataset(rng, 250)
+			if skip {
+				// A single-valued attribute whose sub-model SkipConstant drops.
+				attrs := append([]ml.Attr{{Name: "const", Card: 1}}, ds.Attrs...)
+				wide := ml.NewDataset(attrs)
+				for _, x := range ds.X {
+					if err := wide.Add(append([]int{0}, x...)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ds = wide
+			}
+			a, err := Train(ds, learner, TrainOptions{Parallelism: 2, SkipConstant: skip})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if skip && a.Models[0] != nil {
+				t.Fatal("SkipConstant kept the constant feature's sub-model")
+			}
+			wantM, wantP := normalLevelsOracle(a, ds)
+			for i := range wantM {
+				if math.Float64bits(a.NormalMatch[i]) != math.Float64bits(wantM[i]) ||
+					math.Float64bits(a.NormalProb[i]) != math.Float64bits(wantP[i]) {
+					t.Fatalf("%s skip=%v model %d: levels (%v, %v), oracle (%v, %v)", learner.Name(), skip,
+						i, a.NormalMatch[i], a.NormalProb[i], wantM[i], wantP[i])
+				}
+			}
+		}
 	}
 }

@@ -156,32 +156,37 @@ func Train(ds *ml.Dataset, learner ml.Learner, opts TrainOptions) (*Analyzer, er
 // fitNormalLevels measures every sub-model's in-sample score level — its
 // mean 0/1 match rate and mean true-value probability over the normal
 // training rows. Scoring uses these to keep partial averages (events with
-// missing features) on the same scale as full ones.
+// missing features) on the same scale as full ones. The pass scores
+// through the compiled kernels (compiling the analyzer as a side effect);
+// each model's sums still run over the rows in order, so the levels are
+// bit-identical to summing the models' own PredictProbaInto.
 func (a *Analyzer) fitNormalLevels(ds *ml.Dataset) {
 	l := len(a.Models)
-	a.NormalMatch = make([]float64, l)
-	a.NormalProb = make([]float64, l)
-	n := float64(ds.Len())
-	buf := make([]float64, a.maxCard())
-	for i, m := range a.Models {
-		if m == nil {
-			continue
-		}
-		var match, prob float64
-		for _, x := range ds.X {
-			// One shared prediction serves both levels: the argmax of the
-			// distribution is exactly what ml.Predict computes.
-			p := ml.ProbaInto(m, x, buf)
-			if ml.ArgMax(p) == x[i] {
-				match++
+	match := make([]float64, l)
+	prob := make([]float64, l)
+	c := a.compiled()
+	buf := make([]float64, c.bufLen)
+	for _, x := range ds.X {
+		c.prepare(x, buf)
+		for i, m := range a.Models {
+			if m == nil || x[i] < 0 {
+				continue // a negative value is never matched nor scored
 			}
-			if v := x[i]; v >= 0 && v < len(p) {
-				prob += p[v]
+			p, ok := c.trueScore(m, i, x, x[i], buf)
+			if ok {
+				match[i]++
 			}
+			prob[i] += p
 		}
-		a.NormalMatch[i] = match / n
-		a.NormalProb[i] = prob / n
 	}
+	n := float64(ds.Len())
+	for i, m := range a.Models {
+		if m != nil {
+			match[i] /= n
+			prob[i] /= n
+		}
+	}
+	a.NormalMatch, a.NormalProb = match, prob
 }
 
 // maxCard reports the largest attribute cardinality — the prediction
@@ -332,7 +337,7 @@ func (a *Analyzer) debias(raw, availLevel, total float64, anyMissing bool, level
 // two are bit-identical.
 func (a *Analyzer) Score(x []int, s Scorer) float64 {
 	if c := a.compiledOrNil(); c != nil {
-		return a.kernelScore(c, x, s, make([]float64, a.maxCard()))
+		return a.kernelScore(c, x, s, make([]float64, c.bufLen))
 	}
 	if s == MatchCount {
 		return a.AvgMatchCount(x)

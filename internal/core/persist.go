@@ -282,8 +282,10 @@ type Bundle struct {
 
 // Validate checks the structural invariants a loaded bundle must satisfy
 // before it may serve traffic. Load goes through this, so a snapshot that
-// decodes but is semantically hollow (nil analyzer, no sub-models, schema
-// mismatch, non-finite threshold) is rejected like any other corruption.
+// decodes but is semantically hollow or mis-shaped (nil analyzer, no
+// sub-models, schema mismatch, a Naive Bayes table whose dimensions Fit
+// could not have produced, non-finite threshold) is rejected like any
+// other corruption instead of panicking at compile or scoring time.
 func (b *Bundle) Validate() error {
 	switch {
 	case b.Analyzer == nil:
@@ -300,6 +302,9 @@ func (b *Bundle) Validate() error {
 	case b.Scorer != MatchCount && b.Scorer != Probability:
 		return fmt.Errorf("%w: unknown scorer %d", ErrSnapshotCorrupt, int(b.Scorer))
 	}
+	if err := b.Analyzer.checkShape(); err != nil {
+		return fmt.Errorf("%w: bundle analyzer: %v", ErrSnapshotCorrupt, err)
+	}
 	if b.Fallback != nil {
 		switch {
 		case b.Fallback.NumModels() == 0:
@@ -309,6 +314,26 @@ func (b *Bundle) Validate() error {
 				ErrSnapshotCorrupt, len(b.Fallback.Attrs), len(b.Analyzer.Attrs))
 		case math.IsNaN(b.FallbackThreshold) || math.IsInf(b.FallbackThreshold, 0):
 			return fmt.Errorf("%w: non-finite fallback threshold %v", ErrSnapshotCorrupt, b.FallbackThreshold)
+		}
+		if err := b.Fallback.checkShape(); err != nil {
+			return fmt.Errorf("%w: bundle fallback analyzer: %v", ErrSnapshotCorrupt, err)
+		}
+	}
+	return nil
+}
+
+// checkShape verifies that the analyzer has one model slot per attribute
+// and that every Naive Bayes sub-model has exactly the table dimensions
+// Fit produces for its attribute (the check Fuse applies too).
+func (a *Analyzer) checkShape() error {
+	if len(a.Models) != len(a.Attrs) {
+		return fmt.Errorf("%d sub-model slots for %d attributes", len(a.Models), len(a.Attrs))
+	}
+	for i, m := range a.Models {
+		if nb, ok := m.(*nbayes.Model); ok {
+			if err := nb.CheckShape(a.Attrs, i); err != nil {
+				return fmt.Errorf("sub-model %d: %v", i, err)
+			}
 		}
 	}
 	return nil

@@ -161,6 +161,69 @@ func TestLoadBundleFileValidates(t *testing.T) {
 	}
 }
 
+// TestLoadBundleFileRejectsMisshapedModels is the regression test for
+// bundles whose Naive Bayes tables Fit could not have produced: one
+// conditional table a class row short used to pass Validate and then
+// panic (index out of range) when the loader compiled it. Each damaged
+// bundle, primary or fallback, must load as ErrSnapshotCorrupt.
+func TestLoadBundleFileRejectsMisshapedModels(t *testing.T) {
+	cases := map[string]func(b *Bundle){
+		"class row short": func(b *Bundle) {
+			m := b.Analyzer.Models[0].(*nbayes.Model)
+			m.LogCond[1] = m.LogCond[1][:len(m.LogCond[1])-1]
+		},
+		"value row short": func(b *Bundle) {
+			m := b.Analyzer.Models[2].(*nbayes.Model)
+			m.LogCond[0][0] = m.LogCond[0][0][:len(m.LogCond[0][0])-1]
+		},
+		"prior short": func(b *Bundle) {
+			m := b.Analyzer.Models[1].(*nbayes.Model)
+			m.LogPrior = m.LogPrior[:len(m.LogPrior)-1]
+		},
+		"wrong target": func(b *Bundle) {
+			b.Analyzer.Models[3].(*nbayes.Model).Target = 0
+		},
+		"fewer model slots than attributes": func(b *Bundle) {
+			b.Analyzer.Models = b.Analyzer.Models[:len(b.Analyzer.Models)-1]
+		},
+		"more model slots than attributes": func(b *Bundle) {
+			b.Analyzer.Models = append(b.Analyzer.Models, b.Analyzer.Models[0])
+		},
+		"fallback class row short": func(b *Bundle) {
+			fb := testBundle(t).Analyzer
+			m := fb.Models[0].(*nbayes.Model)
+			m.LogCond[2] = m.LogCond[2][:1]
+			b.Fallback, b.FallbackThreshold = fb, 0.5
+		},
+	}
+	dir := t.TempDir()
+	for name, damage := range cases {
+		b := testBundle(t)
+		damage(b)
+		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+".bin")
+		if err := WriteSnapshotFile(path, b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadBundleFile(path); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("%s: load error = %v, want ErrSnapshotCorrupt", name, err)
+		}
+	}
+	// The undamaged bundle, fallback included, still loads and scores.
+	b := testBundle(t)
+	b.Fallback, b.FallbackThreshold = testBundle(t).Analyzer, 0.5
+	path := filepath.Join(dir, "good.bin")
+	if err := WriteSnapshotFile(path, b); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadBundleFile(path)
+	if err != nil {
+		t.Fatalf("well-shaped bundle rejected: %v", err)
+	}
+	if st := got.Analyzer.Compile(); st.Models != got.Analyzer.NumModels() {
+		t.Fatalf("loaded bundle compiled %d of %d models", st.Models, got.Analyzer.NumModels())
+	}
+}
+
 func TestBundleSaveFileRefusesInvalid(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.bin")
 	if err := (&Bundle{}).SaveFile(path); err == nil {

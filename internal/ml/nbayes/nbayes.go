@@ -136,7 +136,14 @@ func (m *Model) PredictProbaInto(x []int, out []float64) []float64 {
 			out[c] += tab[c][v]
 		}
 	}
-	// Softmax-normalise in log space.
+	softmax(out)
+	return out
+}
+
+// softmax normalises per-class log scores into a posterior in place. The
+// fused kernel runs this same code on each model's accumulator span, so
+// both forms produce bit-identical posteriors from identical log sums.
+func softmax(out []float64) {
 	maxLog := math.Inf(-1)
 	for _, v := range out {
 		if v > maxLog {
@@ -151,5 +158,42 @@ func (m *Model) PredictProbaInto(x []int, out []float64) []float64 {
 	for c := range out {
 		out[c] /= sum
 	}
-	return out
+}
+
+// CheckShape reports whether m has exactly the table dimensions Fit
+// produces when predicting attribute target over the schema attrs: one
+// prior per class of the target, one (class × value) table per other
+// attribute and none for the target itself. Prediction indexes the tables
+// by these dimensions, so a decoded model that fails the check must not
+// score (a short class row panics the lookup).
+func (m *Model) CheckShape(attrs []ml.Attr, target int) error {
+	switch {
+	case m == nil:
+		return fmt.Errorf("nbayes: nil model")
+	case target < 0 || target >= len(attrs):
+		return fmt.Errorf("nbayes: target %d outside schema of %d attributes", target, len(attrs))
+	case m.Target != target:
+		return fmt.Errorf("nbayes: model predicts attribute %d, want %d", m.Target, target)
+	case len(m.LogPrior) != attrs[target].Card:
+		return fmt.Errorf("nbayes: %d class priors, target %q has %d values",
+			len(m.LogPrior), attrs[target].Name, attrs[target].Card)
+	case len(m.LogCond) != len(attrs):
+		return fmt.Errorf("nbayes: %d conditional tables, schema has %d attributes", len(m.LogCond), len(attrs))
+	}
+	for a, tab := range m.LogCond {
+		want := len(m.LogPrior)
+		if a == target {
+			want = 0
+		}
+		if len(tab) != want {
+			return fmt.Errorf("nbayes: attribute %d table has %d class rows, want %d", a, len(tab), want)
+		}
+		for c, row := range tab {
+			if len(row) != attrs[a].Card {
+				return fmt.Errorf("nbayes: attribute %d class %d row has %d values, want %d",
+					a, c, len(row), attrs[a].Card)
+			}
+		}
+	}
+	return nil
 }
