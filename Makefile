@@ -174,10 +174,12 @@ fuzz:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzScoreEvents$$' -fuzztime 10s
 
 # fuzz-smoke is fuzz's short budget for `make ci`: the request-body
-# decoders against their encoding/json oracle, the trace-header parser,
-# and compiled single-row scoring against the reference combination rules.
+# decoders against their encoding/json oracle, the counting discretiser
+# against its binary-search oracle, the trace-header parser, and compiled
+# single-row scoring against the reference combination rules.
 fuzz-smoke:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeScoreRequest$$' -fuzztime 3s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeBatchRequest$$' -fuzztime 3s
+	$(GO) test ./internal/features/ -run '^$$' -fuzz '^FuzzTransformValue$$' -fuzztime 3s
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseTraceContext$$' -fuzztime 3s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzScoreEvents$$' -fuzztime 3s

@@ -80,6 +80,19 @@ func TestCommandsRejectBadModels(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"misshaped-discretizer", func(t *testing.T, path string) {
+			// A well-framed bundle whose discretiser has one range
+			// minimum for every feature's cuts: it must fail
+			// validation, not panic every transform.
+			b, err := core.LoadBundleFile(good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Discretizer.Min = b.Discretizer.Min[:1]
+			if err := core.WriteSnapshotFile(path, b); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
 	commands := []struct {
 		name string

@@ -302,7 +302,13 @@ func (b *Bundle) Validate() error {
 	case b.Scorer != MatchCount && b.Scorer != Probability:
 		return fmt.Errorf("%w: unknown scorer %d", ErrSnapshotCorrupt, int(b.Scorer))
 	}
+	if err := b.Discretizer.Validate(); err != nil {
+		return fmt.Errorf("%w: bundle discretizer: %v", ErrSnapshotCorrupt, err)
+	}
 	if err := b.Analyzer.checkShape(); err != nil {
+		return fmt.Errorf("%w: bundle analyzer: %v", ErrSnapshotCorrupt, err)
+	}
+	if err := b.checkCardinalities(b.Analyzer); err != nil {
 		return fmt.Errorf("%w: bundle analyzer: %v", ErrSnapshotCorrupt, err)
 	}
 	if b.Fallback != nil {
@@ -317,6 +323,21 @@ func (b *Bundle) Validate() error {
 		}
 		if err := b.Fallback.checkShape(); err != nil {
 			return fmt.Errorf("%w: bundle fallback analyzer: %v", ErrSnapshotCorrupt, err)
+		}
+		if err := b.checkCardinalities(b.Fallback); err != nil {
+			return fmt.Errorf("%w: bundle fallback analyzer: %v", ErrSnapshotCorrupt, err)
+		}
+	}
+	return nil
+}
+
+// checkCardinalities verifies that every attribute of a has as many
+// values as the bundle's discretiser produces for that feature, so no
+// transformed record can index past a sub-model's tables.
+func (b *Bundle) checkCardinalities(a *Analyzer) error {
+	for j, at := range a.Attrs {
+		if c := b.Discretizer.Cardinality(j); at.Card != c {
+			return fmt.Errorf("attribute %d has cardinality %d, discretizer gives %d", j, at.Card, c)
 		}
 	}
 	return nil

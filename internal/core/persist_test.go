@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"crossfeature/internal/failpoint"
 	"crossfeature/internal/features"
+	"crossfeature/internal/ml"
 	"crossfeature/internal/ml/nbayes"
 )
 
@@ -221,6 +223,59 @@ func TestLoadBundleFileRejectsMisshapedModels(t *testing.T) {
 	}
 	if st := got.Analyzer.Compile(); st.Models != got.Analyzer.NumModels() {
 		t.Fatalf("loaded bundle compiled %d of %d models", st.Models, got.Analyzer.NumModels())
+	}
+}
+
+// TestLoadBundleFileRejectsMisshapedDiscretizer is the regression test
+// for bundles whose discretiser Fit could not have produced: a Min with 1
+// entry against 4 cut lists used to load, and then every record's
+// transform panicked with index out of range. Each damaged bundle must
+// load as ErrSnapshotCorrupt.
+func TestLoadBundleFileRejectsMisshapedDiscretizer(t *testing.T) {
+	cases := map[string]func(b *Bundle){
+		"short min": func(b *Bundle) { b.Discretizer.Min = b.Discretizer.Min[:1] },
+		"short max": func(b *Bundle) { b.Discretizer.Max = b.Discretizer.Max[:3] },
+		"NaN cut":   func(b *Bundle) { b.Discretizer.Cuts[0][0] = math.NaN() },
+		"inf cut":   func(b *Bundle) { b.Discretizer.Cuts[1][0] = math.Inf(-1) },
+		"cuts out of order": func(b *Bundle) {
+			c := b.Discretizer.Cuts[2]
+			c[0], c[1] = c[1], c[0]
+		},
+		"repeated cut":  func(b *Bundle) { b.Discretizer.Cuts[0][1] = b.Discretizer.Cuts[0][0] },
+		"min above max": func(b *Bundle) { b.Discretizer.Min[1] = b.Discretizer.Max[1] + 1 },
+		"infinite max":  func(b *Bundle) { b.Discretizer.Max[0] = math.Inf(1) },
+		"extra cut": func(b *Bundle) {
+			// Still finite and ascending, but the analyzer's attribute now
+			// has one value fewer than the discretiser produces.
+			c := b.Discretizer.Cuts[0]
+			b.Discretizer.Cuts[0] = append(c, c[len(c)-1]+0.5)
+		},
+		"missing cut": func(b *Bundle) {
+			b.Discretizer.Cuts[1] = b.Discretizer.Cuts[1][:len(b.Discretizer.Cuts[1])-1]
+		},
+		"fallback cardinality": func(b *Bundle) {
+			fb := testBundle(t).Analyzer
+			fb.Attrs = append([]ml.Attr(nil), fb.Attrs...)
+			fb.Attrs[3].Card++
+			b.Fallback, b.FallbackThreshold = fb, 0.5
+		},
+	}
+	for j, cuts := range testBundle(t).Discretizer.Cuts[:3] {
+		if len(cuts) < 2 {
+			t.Fatalf("test bundle feature %d has %d cuts; the cases need 2", j, len(cuts))
+		}
+	}
+	dir := t.TempDir()
+	for name, damage := range cases {
+		b := testBundle(t)
+		damage(b)
+		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+".bin")
+		if err := WriteSnapshotFile(path, b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadBundleFile(path); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("%s: load error = %v, want ErrSnapshotCorrupt", name, err)
+		}
 	}
 }
 

@@ -2,7 +2,10 @@ package features
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -24,23 +27,132 @@ func FuzzReadCSV(f *testing.F) {
 	})
 }
 
-// FuzzTransformValue ensures discretisation is total over float inputs.
-func FuzzTransformValue(f *testing.F) {
-	rows := [][]float64{{1}, {2}, {3}, {4}, {5}, {6}, {7}, {8}, {9}, {10}}
-	d, err := Fit(rows, []string{"x"}, FitOptions{Buckets: 5})
-	if err != nil {
-		f.Fatal(err)
+// bucketOracle is the binary search TransformValue was before it counted
+// cuts: the guard buckets as TransformValue assigns them, then the first
+// in-range bucket whose upper boundary is >= v.
+func bucketOracle(d *Discretizer, j int, v float64) int {
+	cuts := d.Cuts[j]
+	switch {
+	case math.IsNaN(v):
+		return len(cuts) + 3
+	case v < d.Min[j]:
+		return len(cuts) + 1
+	case v > d.Max[j]:
+		return len(cuts) + 2
 	}
-	f.Add(0.0)
-	f.Add(5.5)
-	f.Add(-1e300)
-	f.Add(1e300)
-	f.Fuzz(func(t *testing.T, v float64) {
-		b := d.TransformValue(0, v)
-		if b < 0 || b >= d.Cardinality(0) {
-			t.Fatalf("value %v mapped to bucket %d of %d", v, b, d.Cardinality(0))
+	lo, hi := 0, len(cuts)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if v <= cuts[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// cutsFrom decodes raw as up to 8 float64 bit patterns and keeps the
+// finite ones, sorted with duplicates dropped: strictly ascending cuts of
+// length 0–8.
+func cutsFrom(raw []byte) []float64 {
+	var cuts []float64
+	for i := 0; i+8 <= len(raw) && len(cuts) < 8; i += 8 {
+		if c := math.Float64frombits(binary.LittleEndian.Uint64(raw[i:])); isFinite(c) {
+			cuts = append(cuts, c)
+		}
+	}
+	sort.Float64s(cuts)
+	return slices.Compact(cuts)
+}
+
+// rawCuts encodes cuts as cutsFrom reads them.
+func rawCuts(cuts ...float64) []byte {
+	raw := make([]byte, 0, 8*len(cuts))
+	for _, c := range cuts {
+		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(c))
+	}
+	return raw
+}
+
+// FuzzTransformValue holds the counting TransformValue to its
+// binary-search oracle on every discretiser Validate accepts: fuzzed cuts,
+// range and value, plus each cut itself, its neighbours and the
+// non-finite and signed-zero values.
+func FuzzTransformValue(f *testing.F) {
+	nan, inf := math.NaN(), math.Inf(1)
+	f.Add(rawCuts(3, 5, 7, 9), 1.0, 10.0, 5.5)
+	f.Add(rawCuts(3, 5, 7, 9), 1.0, 10.0, 5.0)
+	f.Add(rawCuts(3, 5, 7, 9), 1.0, 10.0, nan)
+	f.Add(rawCuts(3, 5, 7, 9), 1.0, 10.0, inf)
+	f.Add(rawCuts(3, 5, 7, 9), 1.0, 10.0, -inf)
+	f.Add(rawCuts(0), -1.0, 1.0, math.Copysign(0, -1))
+	f.Add(rawCuts(-0.5, 0, 0.5), -1.0, 1.0, 0.0)
+	f.Add(rawCuts(), 7.0, 7.0, 7.0)
+	f.Add(rawCuts(1, 2, 3, 4, 5, 6, 7, 8), 0.0, 9.0, 8.0)
+	f.Add(rawCuts(-1e300, 1e300), -math.MaxFloat64, math.MaxFloat64, 1e300)
+	f.Add(rawCuts(1, 2), 3.0, 0.0, 1.0) // Min > Max: Validate refuses
+	f.Add(rawCuts(1, 2), nan, 3.0, 1.0)
+	f.Fuzz(func(t *testing.T, raw []byte, lo, hi, v float64) {
+		d := &Discretizer{Cuts: [][]float64{cutsFrom(raw)}, Min: []float64{lo}, Max: []float64{hi}}
+		if d.Validate() != nil {
+			return
+		}
+		vs := []float64{v, math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), lo, hi}
+		for _, c := range d.Cuts[0] {
+			vs = append(vs, c, math.Nextafter(c, math.Inf(-1)), math.Nextafter(c, math.Inf(1)))
+		}
+		for _, x := range vs {
+			got, want := d.TransformValue(0, x), bucketOracle(d, 0, x)
+			if got != want {
+				t.Fatalf("cuts %v range [%v, %v]: TransformValue(%v) = %d, oracle %d",
+					d.Cuts[0], lo, hi, x, got, want)
+			}
+			if got < 0 || got >= d.Cardinality(0) {
+				t.Fatalf("value %v mapped to bucket %d of %d", x, got, d.Cardinality(0))
+			}
 		}
 	})
+}
+
+// TestDiscretizerValidate pins the shapes Validate refuses — the ones
+// TransformValue would index past or bucket differently from its oracle —
+// and that whatever Fit produces passes.
+func TestDiscretizerValidate(t *testing.T) {
+	rows := [][]float64{{1, math.NaN()}, {2, 5}, {3, 5}, {4, math.Inf(1)}, {5, 6}}
+	fit, err := Fit(rows, []string{"x", "y"}, FitOptions{Buckets: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fit.Validate(); err != nil {
+		t.Fatalf("fitted discretizer rejected: %v", err)
+	}
+	good := func() *Discretizer {
+		return &Discretizer{Cuts: [][]float64{{1, 2, 3}, {}}, Min: []float64{0, -1}, Max: []float64{4, 1}}
+	}
+	if err := good().Validate(); err != nil {
+		t.Fatalf("well-formed discretizer rejected: %v", err)
+	}
+	for name, damage := range map[string]func(d *Discretizer){
+		"short min":         func(d *Discretizer) { d.Min = d.Min[:1] },
+		"long max":          func(d *Discretizer) { d.Max = append(d.Max, 9) },
+		"NaN cut":           func(d *Discretizer) { d.Cuts[0][1] = math.NaN() },
+		"infinite cut":      func(d *Discretizer) { d.Cuts[0][2] = math.Inf(1) },
+		"descending cuts":   func(d *Discretizer) { d.Cuts[0][0], d.Cuts[0][1] = 2, 1 },
+		"duplicate cut":     func(d *Discretizer) { d.Cuts[0][1] = 1 },
+		"min above max":     func(d *Discretizer) { d.Min[1], d.Max[1] = 2, 1 },
+		"NaN min":           func(d *Discretizer) { d.Min[0] = math.NaN() },
+		"infinite max":      func(d *Discretizer) { d.Max[1] = math.Inf(1) },
+		"negative inf min":  func(d *Discretizer) { d.Min[1] = math.Inf(-1) },
+		"NaN max":           func(d *Discretizer) { d.Max[0] = math.NaN() },
+		"cut list too long": func(d *Discretizer) { d.Cuts = append(d.Cuts, nil) },
+	} {
+		d := good()
+		damage(d)
+		if d.Validate() == nil {
+			t.Errorf("%s: Validate accepted %+v", name, d)
+		}
+	}
 }
 
 // TestTransformHostileValues pins the bucket each degraded reading lands

@@ -94,36 +94,43 @@ func (s *Server) scoreItems(lm *loadedModel, items []ScoreRequest, lvl int, tr *
 		stateless = true
 	}
 	results := make([]BatchItemResult, len(items))
+	// Every record is discretised into one slab: flat holds the valid
+	// rows in order, each a width-long window of slab, and rows[i] is
+	// item i's run of flat. An item with a bad record gives its windows
+	// back to the next item.
+	disc := lm.bundle.Discretizer
+	width := len(disc.Cuts)
+	n := 0
+	for _, it := range items {
+		n += len(it.Records)
+	}
+	slab := make([]int, n*width)
+	flat := make([][]int, 0, n)
 	rows := make([][][]int, len(items))
-	total := 0
 	for i, it := range items {
 		results[i].Stream = it.Stream
 		if it.Stream == "" || len(it.Records) == 0 {
 			results[i].Error = "score item needs a stream id and at least one record"
 			continue
 		}
-		xs := make([][]int, 0, len(it.Records))
+		start := len(flat)
 		for _, rec := range it.Records {
-			x, err := lm.bundle.Discretizer.Transform(rec.Values)
-			if err != nil {
+			off := len(flat) * width
+			x := slab[off : off+width : off+width]
+			if err := disc.TransformInto(x, rec.Values); err != nil {
 				results[i].Error = "bad record: " + err.Error()
-				xs = nil
 				break
 			}
-			xs = append(xs, x)
+			flat = append(flat, x)
 		}
-		if xs == nil {
+		if results[i].Error != "" {
+			flat = flat[:start]
 			continue
 		}
-		rows[i] = xs
-		total += len(xs)
+		rows[i] = flat[start:]
 	}
 	tr.Hop("transform")
 
-	flat := make([][]int, 0, total)
-	for _, xs := range rows {
-		flat = append(flat, xs...)
-	}
 	an := det.Analyzer
 	var scores []float64
 	if len(flat) >= batchKernelMin {

@@ -20,6 +20,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -32,6 +33,7 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -829,14 +831,24 @@ func (s *Server) shedReplyEst(w http.ResponseWriter, msg string) {
 // supports read deadlines.) The deadline is cleared once the body is in
 // so a keep-alive connection is reusable. On failure the error response
 // has been written and false is returned.
+//
+// The body is read into a pooled buffer that goes back to the pool as
+// soon as decode returns, so decode must not retain it: the wire decoder
+// copies every string out, and floats are values, so nothing decoded
+// aliases the buffer (TestDecodeDoesNotAliasBody).
 func (s *Server) decodeBody(ctx context.Context, w http.ResponseWriter, r *http.Request, limit int64, decode func([]byte) error) bool {
 	rc := http.NewResponseController(w)
 	if deadline, ok := ctx.Deadline(); ok {
 		rc.SetReadDeadline(deadline)
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
 	if err == nil {
-		err = decode(body)
+		err = decode(buf.Bytes())
+	}
+	if buf.Cap() <= maxPooledBody {
+		bodyPool.Put(buf)
 	}
 	if err != nil {
 		s.met.badRequests.Inc()
@@ -854,6 +866,17 @@ func (s *Server) decodeBody(ctx context.Context, w http.ResponseWriter, r *http.
 	rc.SetReadDeadline(time.Time{})
 	return true
 }
+
+// maxPooledBody is the largest body buffer returned to bodyPool; a rare
+// fatter body's buffer is left to the collector instead of pinning that
+// much memory per pooled slot.
+const maxPooledBody = 1 << 20
+
+// bodyPool recycles request body buffers across requests, so a steady
+// stream of similar bodies reads without allocating. A buffer grows only
+// as bytes arrive, never ahead of them from a declared Content-Length,
+// so an idle client holds no more memory than it has sent.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // newOnlineDetector builds a per-stream detector against lm with the
 // configured knobs applied. Checkpoint restore uses the same constructor

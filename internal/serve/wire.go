@@ -24,17 +24,25 @@ package serve
 //   - escape-free valid UTF-8 strings are copied straight out of the
 //     body, and any other string goes through json.Unmarshal, so invalid
 //     UTF-8 and lone surrogates become U+FFFD identically;
-//   - numbers convert with strconv.ParseFloat semantics, out-of-range
-//     values rejected; one whose decimal mantissa and power of ten are
-//     both exact in a float64 skips the call.
+//   - numbers convert bit-identically to strconv.ParseFloat, out-of-range
+//     values rejected: one whose decimal mantissa and power of ten are
+//     both exact in a float64 by a single multiply or divide, any other
+//     with at most 19 significant digits by the Eisel–Lemire step in
+//     atof.go, and only what that step declines (longer mantissas or
+//     exponents, halfway cases, the subnormal and overflow ranges) by
+//     ParseFloat.
 //
 // A request's fresh Values arrays are carved from one shared []float64
-// slab instead of each growing by append.
+// slab instead of each growing by append. Nothing decoded aliases the
+// body: strings are copied out and error text is formatted eagerly, so
+// the caller may reuse the body's buffer as soon as decoding returns
+// (TestDecodeDoesNotAliasBody).
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"unicode/utf8"
@@ -495,24 +503,34 @@ var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 // A number whose decimal mantissa and power of ten are both exact in a
 // float64 — every short integer and many of the shortest-form floats a
 // JSON encoder writes — is converted with one correctly rounded multiply
-// or divide, which is ParseFloat's own first step, without the call.
+// or divide, which is ParseFloat's own first step. Any other number with
+// at most 19 significant digits goes through the Eisel–Lemire step
+// (atof.go), also correctly rounded. ParseFloat itself runs only for the
+// numbers that step declines: longer mantissas or exponents, halfway
+// cases, and results in the subnormal or overflow range.
 func (d *wireDecoder) number() (float64, error) {
 	start := d.off
 	mant, exp, exact, err := d.scanNumber()
 	if err != nil {
 		return 0, err
 	}
-	if exact && mant < 1<<53 && -len(pow10) < exp && exp < len(pow10) {
-		f := float64(mant)
-		if exp < 0 {
-			f /= pow10[-exp]
-		} else {
-			f *= pow10[exp]
+	neg := d.data[start] == '-'
+	if exact {
+		if mant < 1<<53 && -len(pow10) < exp && exp < len(pow10) {
+			f := float64(mant)
+			if exp < 0 {
+				f /= pow10[-exp]
+			} else {
+				f *= pow10[exp]
+			}
+			if neg {
+				f = -f
+			}
+			return f, nil
 		}
-		if d.data[start] == '-' {
-			f = -f
+		if f, ok := eiselLemire(mant, exp, neg); ok {
+			return f, nil
 		}
-		return f, nil
 	}
 	lit := d.data[start:d.off]
 	f, err := strconv.ParseFloat(string(lit), 64)
@@ -524,7 +542,8 @@ func (d *wireDecoder) number() (float64, error) {
 
 // scanNumber consumes a number with the JSON grammar at d.off. Its
 // magnitude is mant × 10^exp, exactly when exact is set; past 19
-// significant digits mant has overflowed and exact is false.
+// significant digits mant has overflowed and exact is false, as it is
+// for an exponent of magnitude 100000 or more.
 func (d *wireDecoder) scanNumber() (mant uint64, exp int, exact bool, err error) {
 	b, i := d.data, d.off
 	sig := 0
@@ -571,6 +590,13 @@ func (d *wireDecoder) scanNumber() (mant uint64, exp int, exact bool, err error)
 			if e < 1e6 { // saturates far outside float64's range
 				e = e*10 + int(b[i]-'0')
 			}
+		}
+		// ParseFloat ignores exponent digits past the fifth significant
+		// one, and enough leading fraction zeros can bring a longer
+		// exponent back into range, so only ParseFloat knows what such
+		// a number converts to.
+		if e >= 1e5 {
+			sig = math.MaxInt
 		}
 		if neg {
 			e = -e

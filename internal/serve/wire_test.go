@@ -90,6 +90,11 @@ func wireSeeds() []string {
 		// Whitespace everywhere.
 		" \t\r\n{ \"stream\" : \"w\" , \"records\" : [ { \"values\" : [ 1 , 2 ] } ] } \n",
 	}
+	// The float conversion's edge cases, one body each, as an out-of-range
+	// number rejects the whole body.
+	for _, num := range atofEdgeCases {
+		seeds = append(seeds, `{"records":[{"time":`+num+`,"values":[`+num+`]}]}`)
+	}
 	// Every truncation of a small valid body.
 	for i := 0; i < len(valid); i++ {
 		seeds = append(seeds, valid[:i])
@@ -185,6 +190,43 @@ func equalSlices[T any](a, b []T, eq func(*T, *T) bool) bool {
 		}
 	}
 	return true
+}
+
+// TestDecodeDoesNotAliasBody pins the contract that lets decodeBody
+// recycle a body's buffer as soon as decode returns: nothing decoded, not
+// a string and not the error text, shares memory with the body. Each seed
+// body, plain, escaped, non-UTF-8 and malformed alike, is decoded by both
+// decoders; then its buffer is overwritten, and the result must still
+// equal a fresh decode of a pristine copy.
+func TestDecodeDoesNotAliasBody(t *testing.T) {
+	bodies := append(wireSeeds(), string(benchBatchBody(t)))
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	for _, body := range bodies {
+		buf := []byte(body)
+		var score, freshScore ScoreRequest
+		var batch, freshBatch BatchScoreRequest
+		scoreErr := decodeScoreRequest(buf, &score)
+		batchErr := decodeBatchRequest(buf, &batch)
+		for i := range buf {
+			buf[i] = 'x'
+		}
+		freshScoreErr := decodeScoreRequest([]byte(body), &freshScore)
+		freshBatchErr := decodeBatchRequest([]byte(body), &freshBatch)
+		if got, want := errText(scoreErr), errText(freshScoreErr); got != want || !equalScoreRequests(&score, &freshScore) {
+			t.Errorf("body %q: score request after overwrite %#v (error %q), fresh decode %#v (error %q)",
+				body, score, got, freshScore, want)
+		}
+		if got, want := errText(batchErr), errText(freshBatchErr); got != want ||
+			!equalSlices(batch.Items, freshBatch.Items, equalScoreRequests) {
+			t.Errorf("body %q: batch request after overwrite %#v (error %q), fresh decode %#v (error %q)",
+				body, batch, got, freshBatch, want)
+		}
+	}
 }
 
 // TestDecodeBodyReadsToEOF pins the one deliberate tightening over the
