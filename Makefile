@@ -66,13 +66,17 @@ metrics-lint:
 # race detector: C4.5's and RIPPER's flat forms against their pointer
 # walks, the fused Naive Bayes slab against every model's own tables
 # (and its refusal of mis-shaped ensembles), plus, in internal/core, the
-# end-to-end Score/ScoreEvents/ScoreAll differential and the seed corpus
-# of its fuzz target, the compiled normal-level pass against its oracle,
-# the NB footprint pin and the stale-compile invalidation regression.
+# end-to-end Score/ScoreEvents/ScoreAll differential (both sides of
+# ScoreAll's row-major/columnar crossover) against the test-only
+# AvgMatchCount/AvgProbability oracles, the seed corpus of its fuzz
+# target (which also pins Explain), the Explain parity tests, the
+# compiled normal-level pass against its oracle, the NB footprint pin,
+# the stale-compile invalidation regression and the uncomparable-model
+# compile-cache regression.
 score-diff:
 	$(GO) test -race -run 'TestCompiledDifferential|TestFuseRejectsMisshapes' -count 1 ./internal/ml/...
 	$(GO) test -race -count 1 \
-		-run 'TestScoreKernelDifferential|FuzzScoreEvents|TestNormalLevelsMatchOracle|TestCompileStatsNaiveBayes|TestCompileInvalidation' \
+		-run 'TestScoreKernelDifferential|FuzzScoreEvents|TestExplain|TestNormalLevelsMatchOracle|TestCompileStatsNaiveBayes|TestCompileInvalidation|TestCompileUncomparableModels' \
 		./internal/core/
 
 # score-smoke gives each learner's single-row scoring benchmark one
@@ -124,16 +128,17 @@ bench:
 bench-train:
 	$(GO) test -run '^$$' -bench '^Benchmark(C45Fit|RipperFit|NBFit|CoreTrain)$$' -benchmem -count 3 .
 
-# bench-score measures only the inference paths on the same dataset: the
-# per-record pointer-walking reference (BenchmarkAnalyzerScore) against
-# the compiled batch path (BenchmarkScoreAll) and the compiled single-row
-# path (BenchmarkScoreEvents, one record per call as a per-node server
-# scores), plus the C4.5 and RIPPER single-model predict kernels. Append
-# the output to the dated BENCH file when recording a before/after for a
-# scoring-path change.
+# bench-score measures only the inference paths on the same dataset:
+# BenchmarkScoreAll over the whole set and over 1-, 8-, 32- and 128-row
+# batches (either side of its row-major/columnar choice, ns/rec), the
+# single-row path (BenchmarkScoreEvents, one record per call as a
+# per-node server scores), per-record attribution (BenchmarkExplain, what
+# -feature-metrics adds), plus the C4.5 and RIPPER single-model predict
+# kernels. Append the output to the dated BENCH file when recording a
+# before/after for a scoring-path change.
 bench-score:
 	$(GO) test -run '^$$' -timeout 30m \
-		-bench '^Benchmark(AnalyzerScore|ScoreAll|ScoreEvents|C45Predict|RipperPredict)$$' \
+		-bench '^Benchmark(ScoreAll|ScoreEvents|Explain|C45Predict|RipperPredict)$$' \
 		-benchmem -count 3 .
 
 # bench-serve measures end-to-end serving throughput over real HTTP:
@@ -176,7 +181,7 @@ fuzz:
 # fuzz-smoke is fuzz's short budget for `make ci`: the request-body
 # decoders against their encoding/json oracle, the counting discretiser
 # against its binary-search oracle, the trace-header parser, and compiled
-# single-row scoring against the reference combination rules.
+# single-row scoring and Explain against the oracle combination rules.
 fuzz-smoke:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeScoreRequest$$' -fuzztime 3s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeBatchRequest$$' -fuzztime 3s

@@ -1,11 +1,13 @@
-// Scoring-path benchmarks: the per-record pointer-walking reference
-// against the compiled flat kernels, per base learner and end-to-end
-// through Analyzer.ScoreAll and single-row Analyzer.ScoreEvents. Same
-// synthetic full-scale dataset as the training benchmarks so `make
-// bench-score` isolates inference cost.
+// Scoring-path benchmarks: the compiled kernels per base learner, end to
+// end through Analyzer.ScoreAll (the whole dataset and serving-sized
+// batches), single-row Analyzer.ScoreEvents and Analyzer.Explain, plus
+// single sub-model predict against its flat form. Same synthetic
+// full-scale dataset as the training benchmarks so `make bench-score`
+// isolates inference cost.
 package crossfeature_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -55,25 +57,11 @@ func scoreBench(b *testing.B) (*ml.Dataset, map[string]*core.Analyzer) {
 	return m.ds, m.an
 }
 
-// BenchmarkAnalyzerScore is the baseline: the retained pointer-walking
-// reference path, one record at a time over the full dataset.
-func BenchmarkAnalyzerScore(b *testing.B) {
-	ds, an := scoreBench(b)
-	for _, name := range []string{"C45", "RIPPER", "NBC"} {
-		a := an[name]
-		b.Run(name, func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, x := range ds.X {
-					a.AvgProbability(x)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkScoreAll is the compiled batch path over the same records:
-// flat kernels, columnar dataset view, buffers reused across rows.
+// BenchmarkScoreAll is the compiled batch path: the whole dataset per
+// call, then batches of 1, 8, 32 and 128 rows, each wrapped in a fresh
+// DatasetOf as the scoring service does, so the columnar view is rebuilt
+// per call and ns/rec shows where ScoreAll's row-major vs columnar
+// choice pays.
 func BenchmarkScoreAll(b *testing.B) {
 	ds, an := scoreBench(b)
 	for _, name := range []string{"C45", "RIPPER", "NBC"} {
@@ -87,6 +75,19 @@ func BenchmarkScoreAll(b *testing.B) {
 				}
 			}
 		})
+		for _, rows := range []int{1, 8, 32, 128} {
+			b.Run(fmt.Sprintf("%s/rows=%d", name, rows), func(b *testing.B) {
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					off := i * rows % (ds.Len() - rows)
+					batch := ml.DatasetOf(ds.Attrs, ds.X[off:off+rows])
+					if got := a.ScoreAll(batch, core.Probability); len(got) != rows {
+						b.Fatal("short result")
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/rec")
+			})
+		}
 	}
 }
 
@@ -104,6 +105,25 @@ func BenchmarkScoreEvents(b *testing.B) {
 				r := i % ds.Len()
 				if got := a.ScoreEvents(ds.X[r:r+1], core.Probability); len(got) != 1 {
 					b.Fatal("short result")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkExplain is the per-feature attribution of one record, as `cfa
+// serve -feature-metrics` runs it for every scored record: set against
+// BenchmarkScoreEvents it prices that flag.
+func BenchmarkExplain(b *testing.B) {
+	ds, an := scoreBench(b)
+	for _, name := range []string{"C45", "RIPPER", "NBC"} {
+		a := an[name]
+		a.Compile()
+		b.Run(name, func(b *testing.B) {
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res := a.Explain(ds.X[i%ds.Len()]); len(res.Contribs) == 0 {
+					b.Fatal("no contributions")
 				}
 			}
 		})

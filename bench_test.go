@@ -300,8 +300,8 @@ func BenchmarkScoreEvent(b *testing.B) {
 	x := d.TrainEvents[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = a.AvgProbability(x)
-		_ = a.AvgMatchCount(x)
+		_ = a.Score(x, core.Probability)
+		_ = a.Score(x, core.MatchCount)
 	}
 }
 

@@ -168,9 +168,6 @@ func detect(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Compile once at load: every record then scores through the flat
-	// inference kernels instead of the pointer-walking model forms.
-	mf.Analyzer.Compile()
 	th := mf.Threshold
 	if *threshold >= 0 {
 		th = *threshold

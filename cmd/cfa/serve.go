@@ -34,7 +34,7 @@ func runServe(ctx context.Context, args []string, w io.Writer) error {
 	model := fs.String("model", "model.bin", "model path from cfa train")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	debugAddr := fs.String("debug-addr", "", "optional debug listener (pprof, /metrics, /tracez); keep it private")
-	featureMetrics := fs.Bool("feature-metrics", false, "export per-feature match/probability metrics (roughly doubles scoring cost)")
+	featureMetrics := fs.Bool("feature-metrics", false, "export per-feature match/probability metrics (adds a per-record Explain pass, 1.0-1.7x the cost of scoring the record)")
 	concurrency := fs.Int("concurrency", 0, "max in-flight score requests (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "max queued score requests beyond the in-flight limit (0 = default)")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request deadline")

@@ -195,7 +195,7 @@ func TestPublicAPIPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.AvgProbability([]int{1, 1}) != a.AvgProbability([]int{1, 1}) {
+	if back.Score([]int{1, 1}, crossfeature.Probability) != a.Score([]int{1, 1}, crossfeature.Probability) {
 		t.Error("persistence changed scores")
 	}
 }

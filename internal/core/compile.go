@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"time"
 
 	"crossfeature/internal/ml"
@@ -14,7 +15,7 @@ import (
 // time of the pass. Serving exports these so reload cost is visible.
 type CompileStats struct {
 	// Models counts sub-models that compiled to a flat kernel (the rest
-	// score through their reference implementation).
+	// score through their own class distribution).
 	Models int
 	// TreeNodes is the total flattened C4.5 node count.
 	TreeNodes int
@@ -26,6 +27,12 @@ type CompileStats struct {
 	Duration time.Duration
 }
 
+// batchKernelMin is the row count below which ScoreAll scores row-major:
+// building the columnar view only pays for itself with enough rows behind
+// it. The crossover depends on the learner (EXPERIMENTS.md), so this is a
+// shared floor, not a tuned one.
+const batchKernelMin = 8
+
 // compiledSet is one immutable generation of compiled kernels, built from
 // a snapshot of the analyzer's Models slice. Freshness is checked against
 // that snapshot so swapping a sub-model (retraining, ablation masking)
@@ -33,20 +40,30 @@ type CompileStats struct {
 // its cached column view. A Naive Bayes ensemble compiles to one fused
 // slab; any other ensemble compiles model by model.
 type compiledSet struct {
-	fused   *nbayes.Fused    // non-nil: every model scores through it
-	kernels []ml.ScoreKernel // per model when not fused; nil entries score via the reference model
-	src     []ml.Classifier  // the Models values the kernels came from
-	bufLen  int              // scratch length scoring needs
+	fused   *nbayes.Fused         // non-nil: every model scores through it
+	kernels []ml.ScoreKernel      // per model when not fused; nil entries score the live model
+	batch   []ml.BatchScoreKernel // per model when every retained one has it; else nil
+	src     []ml.Classifier       // the Models values the kernels came from
+	bufLen  int                   // scratch length scoring needs
 	stats   CompileStats
 }
+
+// uncomparable stands in the src snapshot for a model whose dynamic type
+// == cannot compare (a value holding a slice, say). Such a model never
+// compiles, it scores live through trueScore's fallback, so fresh only
+// checks its type.
+type uncomparable struct{ ml.Classifier }
 
 // fresh reports whether the set still matches the analyzer's models.
 func (c *compiledSet) fresh(models []ml.Classifier) bool {
 	if c == nil || len(c.src) != len(models) {
 		return false
 	}
-	for i := range models {
-		if c.src[i] != models[i] {
+	for i, m := range models {
+		if c.src[i] == m {
+			continue
+		}
+		if u, ok := c.src[i].(*uncomparable); !ok || reflect.TypeOf(u.Classifier) != reflect.TypeOf(m) {
 			return false
 		}
 	}
@@ -82,23 +99,6 @@ func (a *Analyzer) compiled() *compiledSet {
 	return c
 }
 
-// compiledOrNil returns the kernels only when the analyzer has opted
-// into compiled scoring: an analyzer that was never Compiled, trained or
-// batch-scored in this process keeps the reference pointer-walking path.
-// Once a generation exists, a stale one — a sub-model swapped by
-// retraining or ablation — is rebuilt rather than abandoned, so Score
-// stays on the compiled path across model updates.
-func (a *Analyzer) compiledOrNil() *compiledSet {
-	c := a.comp.Load()
-	if c == nil {
-		return nil
-	}
-	if c.fresh(a.Models) {
-		return c
-	}
-	return a.compiled()
-}
-
 func (a *Analyzer) buildCompiled() *compiledSet {
 	start := time.Now()
 	c := &compiledSet{
@@ -114,13 +114,26 @@ func (a *Analyzer) buildCompiled() *compiledSet {
 		return c
 	}
 	c.kernels = make([]ml.ScoreKernel, len(a.Models))
+	c.batch = make([]ml.BatchScoreKernel, len(a.Models))
 	for i, m := range a.Models {
+		if m == nil {
+			continue
+		}
 		kc, ok := m.(ml.KernelCompiler)
+		if !reflect.ValueOf(m).Comparable() {
+			c.src[i], ok = &uncomparable{m}, false
+		}
 		if !ok {
+			c.batch = nil
 			continue
 		}
 		k := kc.CompileKernel()
 		c.kernels[i] = k
+		if bk, ok := k.(ml.BatchScoreKernel); !ok {
+			c.batch = nil
+		} else if c.batch != nil {
+			c.batch[i] = bk
+		}
 		c.stats.Models++
 		switch t := k.(type) {
 		case *c45.Compiled:
@@ -143,9 +156,9 @@ func (c *compiledSet) prepare(x []int, buf []float64) {
 
 // trueScore returns sub-model i's probability for class v (>= 0) of event
 // x and whether v is its argmax, through the fused slab, the model's
-// kernel, or the reference model when it has neither. With a fused set,
-// buf holds the event's prepared accumulation and each model is scored at
-// most once per prepare; otherwise buf is scratch.
+// kernel, or the model's own class distribution when it has neither. With
+// a fused set, buf holds the event's prepared accumulation and each model
+// is scored at most once per prepare; otherwise buf is scratch.
 func (c *compiledSet) trueScore(m ml.Classifier, i int, x []int, v int, buf []float64) (p float64, match bool) {
 	if c.fused != nil {
 		return c.fused.TrueScore(buf, i, v)
@@ -160,66 +173,93 @@ func (c *compiledSet) trueScore(m ml.Classifier, i int, x []int, v int, buf []fl
 	return p, ml.ArgMax(pr) == v
 }
 
-// kernelScore scores one event through the compiled kernels, replicating
-// avgMatchCount/avgProbability — including the missing-feature skip and
-// partial-average debias — bit for bit. buf must have length >= c.bufLen.
-func (a *Analyzer) kernelScore(c *compiledSet, x []int, s Scorer, buf []float64) float64 {
-	levels := a.NormalProb
-	if s == MatchCount {
-		levels = a.NormalMatch
-	}
-	haveLevels := len(levels) == len(a.Models)
-	var sum, total, availLevel float64
+// scoreEvent is the per-event rule of Algorithms 2 and 3 that every
+// row-major path shares: each retained sub-model whose true value is
+// usable adds its argmax match and true-value probability, one whose
+// value is missing only marks the event partial, and both averages are
+// debiased. contribs, when non-nil, gets each retained sub-model's
+// Contribution appended in schema order. buf must have length >= c.bufLen.
+func (a *Analyzer) scoreEvent(c *compiledSet, x []int, buf []float64, contribs *[]Contribution) (match, prob float64) {
+	var matches, probs, total float64
 	anyMissing := false
 	c.prepare(x, buf)
 	for i, m := range a.Models {
 		if m == nil {
 			continue
 		}
-		if a.missing(x, i) {
+		missing, hit, p := a.missing(x, i), false, 0.0
+		if missing {
 			anyMissing = true
-			continue
-		}
-		total++
-		if haveLevels {
-			availLevel += levels[i]
-		}
-		p, match := c.trueScore(m, i, x, x[i], buf)
-		if s == MatchCount {
-			if match {
-				sum++
-			}
 		} else {
-			sum += p
+			p, hit = c.trueScore(m, i, x, x[i], buf)
+			total++
+			if hit {
+				matches++
+			}
+			probs += p
+		}
+		if contribs != nil {
+			*contribs = append(*contribs, Contribution{
+				Index: i, Feature: a.Attrs[i].Name, Missing: missing, Match: hit, Prob: p,
+				NormalMatch: a.level(a.NormalMatch, i), NormalProb: a.level(a.NormalProb, i),
+			})
 		}
 	}
 	if total == 0 {
+		return 0, 0
+	}
+	// Only a partial event's debias reads the scored models' levels, so
+	// the hot loop above leaves them out.
+	var availMatch, availProb float64
+	if anyMissing {
+		for i, m := range a.Models {
+			if m != nil && !a.missing(x, i) {
+				availMatch += a.level(a.NormalMatch, i)
+				availProb += a.level(a.NormalProb, i)
+			}
+		}
+	}
+	return a.debias(matches/total, availMatch, total, anyMissing, a.NormalMatch),
+		a.debias(probs/total, availProb, total, anyMissing, a.NormalProb)
+}
+
+// level is sub-model i's normal level, or 0 when levels were not recorded.
+func (a *Analyzer) level(levels []float64, i int) float64 {
+	if len(levels) != len(a.Models) {
 		return 0
 	}
-	return a.debias(sum/total, availLevel, total, anyMissing, levels)
+	return levels[i]
+}
+
+// kernelScore scores one event under rule s. buf must have length >=
+// c.bufLen.
+func (a *Analyzer) kernelScore(c *compiledSet, x []int, s Scorer, buf []float64) float64 {
+	match, prob := a.scoreEvent(c, x, buf, nil)
+	if s == MatchCount {
+		return match
+	}
+	return prob
 }
 
 // ScoreAll scores every row of ds through the compiled kernels, compiling
-// on first use. A fused Naive Bayes ensemble scores row by row with one
-// reused accumulator. Other ensembles score through the dataset's
-// columnar view: the accumulation is model-major — each sub-model streams
-// down its column with buffers reused across rows — but visits models in
-// the same ascending order per row as the per-event path. Either way the
-// results are bit-identical to calling Score on each row. A dataset whose
-// schema width differs from the analyzer's, or whose rows violate its own
-// schema, falls back to the row-major per-event path (which tolerates
-// anything).
+// on first use, and picks the loop order itself. From batchKernelMin rows,
+// when every retained model has a batch kernel, it scores through the
+// dataset's columnar view: the accumulation is model-major — each
+// sub-model streams down its column with buffers reused across rows — but
+// visits models in the same ascending order per row as the per-event
+// path. Smaller batches, a fused Naive Bayes ensemble, a model without a
+// batch kernel, and a dataset whose schema width differs from the
+// analyzer's or whose rows violate its own schema score row by row (which
+// tolerates anything). Either way the results are bit-identical to
+// calling Score on each row.
 func (a *Analyzer) ScoreAll(ds *ml.Dataset, s Scorer) []float64 {
 	if ds == nil {
 		return nil
 	}
 	out := make([]float64, ds.Len())
-	if len(out) == 0 {
-		return out
-	}
 	c := a.compiled()
-	if c.fused != nil || len(ds.Attrs) != len(a.Attrs) || ds.Validate() != nil {
-		a.scoreEventsInto(ds.X, s, out)
+	if len(out) < batchKernelMin || c.batch == nil || len(ds.Attrs) != len(a.Attrs) || ds.Validate() != nil {
+		a.scoreRows(c, ds.X, s, out)
 		return out
 	}
 	cols := ds.Columns()
@@ -234,12 +274,11 @@ func (a *Analyzer) ScoreAll(ds *ml.Dataset, s Scorer) []float64 {
 		avail      = make([]float64, n)
 		totals     = make([]int32, n)
 		anyMissing = make([]bool, n)
-		scratch    = make([]float64, c.bufLen)
-		pbuf       []float64
-		mbuf       []bool
+		pbuf       = make([]float64, n)
+		mbuf       = make([]bool, n)
 	)
-	for i, m := range a.Models {
-		if m == nil {
+	for i, bk := range c.batch {
+		if bk == nil {
 			continue
 		}
 		at := a.Attrs[i]
@@ -248,44 +287,20 @@ func (a *Analyzer) ScoreAll(ds *ml.Dataset, s Scorer) []float64 {
 		if haveLevels {
 			lvl = levels[i]
 		}
-		if bk, ok := c.kernels[i].(ml.BatchScoreKernel); ok {
-			if pbuf == nil {
-				pbuf = make([]float64, n)
-				mbuf = make([]bool, n)
-			}
-			bk.TrueScoreAll(ds, i, pbuf, mbuf)
-			for r := 0; r < n; r++ {
-				if at.Missing(int(col[r])) {
-					anyMissing[r] = true
-					continue
-				}
-				totals[r]++
-				avail[r] += lvl
-				if s == MatchCount {
-					if mbuf[r] {
-						sum[r]++
-					}
-				} else {
-					sum[r] += pbuf[r]
-				}
-			}
-			continue
-		}
+		bk.TrueScoreAll(ds, i, pbuf, mbuf)
 		for r := 0; r < n; r++ {
-			v := int(col[r])
-			if at.Missing(v) {
+			if at.Missing(int(col[r])) {
 				anyMissing[r] = true
 				continue
 			}
 			totals[r]++
 			avail[r] += lvl
-			p, match := c.trueScore(m, i, ds.X[r], v, scratch)
 			if s == MatchCount {
-				if match {
+				if mbuf[r] {
 					sum[r]++
 				}
 			} else {
-				sum[r] += p
+				sum[r] += pbuf[r]
 			}
 		}
 	}
@@ -299,22 +314,19 @@ func (a *Analyzer) ScoreAll(ds *ml.Dataset, s Scorer) []float64 {
 	return out
 }
 
-// ScoreEvents scores a batch of raw event rows through the compiled
-// kernels (compiling on first use), sharing one prediction buffer across
-// the batch. Unlike ScoreAll it assumes nothing about the rows — short,
+// ScoreEvents scores a batch of raw event rows row by row through the
+// compiled kernels (compiling on first use), sharing one prediction
+// buffer across the batch. It assumes nothing about the rows — short,
 // over-long or out-of-range vectors degrade per feature exactly as
 // Score's missing-value handling dictates.
 func (a *Analyzer) ScoreEvents(xs [][]int, s Scorer) []float64 {
 	out := make([]float64, len(xs))
-	a.scoreEventsInto(xs, s, out)
+	a.scoreRows(a.compiled(), xs, s, out)
 	return out
 }
 
-func (a *Analyzer) scoreEventsInto(xs [][]int, s Scorer, out []float64) {
-	if len(xs) == 0 {
-		return
-	}
-	c := a.compiled()
+// scoreRows scores xs row-major into out.
+func (a *Analyzer) scoreRows(c *compiledSet, xs [][]int, s Scorer, out []float64) {
 	buf := make([]float64, c.bufLen)
 	for i, x := range xs {
 		out[i] = a.kernelScore(c, x, s, buf)

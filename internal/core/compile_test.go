@@ -45,7 +45,7 @@ func compileTestDataset(rng *rand.Rand, rows int) *ml.Dataset {
 	return ds
 }
 
-// referenceScores is the retained pointer-walking path, record by record.
+// referenceScores scores xs record by record through the oracles.
 func referenceScores(a *Analyzer, xs [][]int, s Scorer) []float64 {
 	out := make([]float64, len(xs))
 	for i, x := range xs {
@@ -60,7 +60,9 @@ func referenceScores(a *Analyzer, xs [][]int, s Scorer) []float64 {
 
 // TestScoreKernelDifferential trains bundles with every base learner and
 // pins the compiled scoring paths — per-event Score after Compile,
-// ScoreEvents, and the columnar ScoreAll — bit-identical to the
+// ScoreEvents, and ScoreAll over a large probe, over batches either side
+// of its row-major/columnar crossover and over a batch whose
+// out-of-schema row forces the row-major path — bit-identical to the
 // pointer-walking reference over >1000 random records per learner,
 // including guard-bucket, short, and out-of-range rows.
 func TestScoreKernelDifferential(t *testing.T) {
@@ -103,6 +105,13 @@ func TestScoreKernelDifferential(t *testing.T) {
 			degraded = append(degraded, x)
 		}
 
+		bad := append([]int(nil), probeDS.X[0]...)
+		bad[0] = train.Attrs[0].Card // out of the attribute's range
+		batches := [][][]int{
+			probeDS.X[:1], probeDS.X[:7], probeDS.X[:8], probeDS.X[:9],
+			append(probeDS.X[1:9:9], bad),
+		}
+
 		for _, s := range []Scorer{MatchCount, Probability} {
 			wantValid := referenceScores(a, probeDS.X, s)
 			wantDegraded := referenceScores(a, degraded, s)
@@ -124,6 +133,16 @@ func TestScoreKernelDifferential(t *testing.T) {
 				if gotEvents[i] != wantDegraded[i] {
 					t.Fatalf("%s/%v: ScoreEvents row %d (%v) = %v, reference %v",
 						learner.Name(), s, i, degraded[i], gotEvents[i], wantDegraded[i])
+				}
+			}
+			for _, xs := range batches {
+				want := referenceScores(a, xs, s)
+				got := a.ScoreAll(ml.DatasetOf(train.Attrs, xs), s)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s/%v: ScoreAll %d-row batch row %d (%v) = %v, reference %v",
+							learner.Name(), s, len(xs), i, xs[i], got[i], want[i])
+					}
 				}
 			}
 		}
@@ -185,6 +204,78 @@ func TestCompileInvalidation(t *testing.T) {
 	}
 	if want := a.AvgProbability(row); after[len(after)-1] != want {
 		t.Fatalf("appended row scored %v, reference %v", after[len(after)-1], want)
+	}
+}
+
+// priorLearner fits every feature's class prior as a fixedClassifier: a
+// custom Learner whose models are values holding a slice, a type == cannot
+// compare.
+type priorLearner struct{}
+
+func (priorLearner) Name() string { return "prior" }
+
+func (priorLearner) Fit(ds *ml.Dataset, target int) (ml.Classifier, error) {
+	dist := make([]float64, ds.Attrs[target].Card)
+	for v, n := range ds.ClassCounts(target) {
+		dist[v] = float64(n) / float64(ds.Len())
+	}
+	return fixedClassifier{dist}, nil
+}
+
+// TestCompileUncomparableModels is the regression test for sub-models
+// whose dynamic type is not comparable: the compile cache used to compare
+// them with == and panic on the first rescore (NewDetector). Such models
+// never compile and score live, a same-type swap keeps the generation,
+// and a swap to a compilable model recompiles.
+func TestCompileUncomparableModels(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	ds := compileTestDataset(rng, 200)
+	a, err := Train(ds, priorLearner{}, TrainOptions{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDetector(a, Probability, ds.X, 0.05)
+	probe := ds.X[:20]
+	check := func(stage string) {
+		t.Helper()
+		for _, s := range []Scorer{MatchCount, Probability} {
+			want := referenceScores(a, probe, s)
+			all := a.ScoreAll(ml.DatasetOf(ds.Attrs, probe), s)
+			for i, x := range probe {
+				if got := a.Score(x, s); got != want[i] || all[i] != want[i] {
+					t.Fatalf("%s/%v: row %d Score %v, ScoreAll %v, reference %v", stage, s, i, got, all[i], want[i])
+				}
+			}
+		}
+		for _, x := range probe {
+			checkExplain(t, a, x)
+		}
+		if got, want := d.Score(probe[0]), a.AvgProbability(probe[0]); got != want {
+			t.Fatalf("%s: detector score %v, reference %v", stage, got, want)
+		}
+	}
+	check("trained")
+
+	gen := a.comp.Load()
+	dist := make([]float64, a.Attrs[0].Card)
+	dist[len(dist)-1] = 1
+	a.Models[0] = fixedClassifier{dist}
+	check("same-type swap")
+	if a.comp.Load() != gen {
+		t.Fatal("a same-type swap of an uncomparable model recompiled the kernels")
+	}
+
+	tree, err := c45.NewLearner().Fit(ds, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Models[1] = tree
+	check("compilable swap")
+	if a.comp.Load() == gen {
+		t.Fatal("swapping in a compilable model did not recompile")
+	}
+	if st := a.Compile(); st.Models != 1 || st.TreeNodes == 0 {
+		t.Fatalf("CompileStats after the swap = %+v, want the one tree compiled", st)
 	}
 }
 

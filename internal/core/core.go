@@ -224,72 +224,6 @@ func (a *Analyzer) missing(x []int, i int) bool {
 	return a.Attrs[i].Missing(x[i])
 }
 
-// AvgMatchCount implements Algorithm 2 for one event. Features with a
-// missing true value are excluded from the average, and the partial
-// average is debiased back to the full-model scale.
-func (a *Analyzer) AvgMatchCount(x []int) float64 {
-	return a.avgMatchCount(x, make([]float64, a.maxCard()))
-}
-
-func (a *Analyzer) avgMatchCount(x []int, buf []float64) float64 {
-	var matches, total, availLevel float64
-	anyMissing := false
-	for i, m := range a.Models {
-		if m == nil {
-			continue
-		}
-		if a.missing(x, i) {
-			anyMissing = true
-			continue
-		}
-		total++
-		if len(a.NormalMatch) == len(a.Models) {
-			availLevel += a.NormalMatch[i]
-		}
-		if ml.ArgMax(ml.ProbaInto(m, x, buf)) == x[i] {
-			matches++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return a.debias(matches/total, availLevel, total, anyMissing, a.NormalMatch)
-}
-
-// AvgProbability implements Algorithm 3 for one event: the mean estimated
-// probability p(f_i(x) | x) of the true feature values. Features with a
-// missing true value are excluded from the average, and the partial
-// average is debiased back to the full-model scale.
-func (a *Analyzer) AvgProbability(x []int) float64 {
-	return a.avgProbability(x, make([]float64, a.maxCard()))
-}
-
-func (a *Analyzer) avgProbability(x []int, buf []float64) float64 {
-	var sum, total, availLevel float64
-	anyMissing := false
-	for i, m := range a.Models {
-		if m == nil {
-			continue
-		}
-		if a.missing(x, i) {
-			anyMissing = true
-			continue
-		}
-		total++
-		if len(a.NormalProb) == len(a.Models) {
-			availLevel += a.NormalProb[i]
-		}
-		p := ml.ProbaInto(m, x, buf)
-		if v := x[i]; v >= 0 && v < len(p) {
-			sum += p[v]
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return a.debias(sum/total, availLevel, total, anyMissing, a.NormalProb)
-}
-
 // debias rescales the partial average of an event with missing features so
 // its expected value on normal data matches the full-model level, then
 // shrinks it toward that level in proportion to how much of the ensemble
@@ -331,18 +265,11 @@ func (a *Analyzer) debias(raw, availLevel, total float64, anyMissing bool, level
 	return scaled
 }
 
-// Score applies the selected combination rule. A compiled analyzer (see
-// Compile) scores through its flat kernels; otherwise this is the
-// reference pointer-walking path of AvgMatchCount/AvgProbability. The
-// two are bit-identical.
+// Score applies the selected combination rule to one event through the
+// compiled kernels, compiling on first use (see Compile).
 func (a *Analyzer) Score(x []int, s Scorer) float64 {
-	if c := a.compiledOrNil(); c != nil {
-		return a.kernelScore(c, x, s, make([]float64, c.bufLen))
-	}
-	if s == MatchCount {
-		return a.AvgMatchCount(x)
-	}
-	return a.AvgProbability(x)
+	c := a.compiled()
+	return a.kernelScore(c, x, s, make([]float64, c.bufLen))
 }
 
 // Threshold calibrates the decision threshold from normal-data scores: the

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"crossfeature/internal/ml"
-	"crossfeature/internal/obs"
-)
+import "crossfeature/internal/obs"
 
 // Contribution is one sub-model's share of a cross-feature score: whether
 // its prediction matched the feature's true value, the probability it
@@ -35,8 +32,8 @@ type Contribution struct {
 type ExplainResult struct {
 	// Contribs has one entry per retained sub-model, in schema order.
 	Contribs []Contribution
-	// MatchScore and ProbScore equal AvgMatchCount(x) and
-	// AvgProbability(x) exactly (same debiasing of partial averages).
+	// MatchScore and ProbScore equal Score(x, MatchCount) and
+	// Score(x, Probability) exactly (same debiasing of partial averages).
 	MatchScore float64
 	ProbScore  float64
 }
@@ -50,52 +47,14 @@ func (r ExplainResult) Score(s Scorer) float64 {
 }
 
 // Explain scores one event while keeping every sub-model's contribution.
-// It is the observable twin of Score: the returned scores are identical,
-// and the contribution list is what `cfa inspect -explain` and the
-// per-feature metrics surface to say which sub-model drove a verdict.
+// It is the observable twin of Score: one pass of the same compiled
+// per-event rule yields both scores, identical to Score's, and the
+// contribution list that `cfa inspect -explain` and the per-feature
+// metrics surface to say which sub-model drove a verdict.
 func (a *Analyzer) Explain(x []int) ExplainResult {
-	buf := make([]float64, a.maxCard())
+	c := a.compiled()
 	res := ExplainResult{Contribs: make([]Contribution, 0, len(a.Models))}
-	haveMatchLevels := len(a.NormalMatch) == len(a.Models)
-	haveProbLevels := len(a.NormalProb) == len(a.Models)
-	var matches, probSum, total float64
-	var availMatch, availProb float64
-	anyMissing := false
-	for i, m := range a.Models {
-		if m == nil {
-			continue
-		}
-		c := Contribution{Index: i, Feature: a.Attrs[i].Name}
-		if haveMatchLevels {
-			c.NormalMatch = a.NormalMatch[i]
-		}
-		if haveProbLevels {
-			c.NormalProb = a.NormalProb[i]
-		}
-		if a.missing(x, i) {
-			c.Missing = true
-			anyMissing = true
-			res.Contribs = append(res.Contribs, c)
-			continue
-		}
-		p := ml.ProbaInto(m, x, buf)
-		c.Match = ml.ArgMax(p) == x[i]
-		if v := x[i]; v >= 0 && v < len(p) {
-			c.Prob = p[v]
-		}
-		total++
-		if c.Match {
-			matches++
-		}
-		probSum += c.Prob
-		availMatch += c.NormalMatch
-		availProb += c.NormalProb
-		res.Contribs = append(res.Contribs, c)
-	}
-	if total > 0 {
-		res.MatchScore = a.debias(matches/total, availMatch, total, anyMissing, a.NormalMatch)
-		res.ProbScore = a.debias(probSum/total, availProb, total, anyMissing, a.NormalProb)
-	}
+	res.MatchScore, res.ProbScore = a.scoreEvent(c, x, make([]float64, c.bufLen), &res.Contribs)
 	return res
 }
 

@@ -39,9 +39,10 @@ func fuzzEncode(x []int) []byte {
 }
 
 // FuzzScoreEvents scores one raw row of any length and any values through
-// the compiled paths — ScoreEvents, Score and ScoreAll — of NBC, C4.5 and
-// RIPPER analyzers, and pins every score bit-equal to the reference
-// AvgMatchCount/AvgProbability.
+// the compiled paths — ScoreEvents, Score, ScoreAll and Explain — of NBC,
+// C4.5 and RIPPER analyzers, and pins every score bit-equal to the
+// reference AvgMatchCount/AvgProbability and every Explain contribution
+// to the sub-model's own class distribution.
 func FuzzScoreEvents(f *testing.F) {
 	rng := rand.New(rand.NewSource(61))
 	train := compileTestDataset(rng, 300)
@@ -86,6 +87,7 @@ func FuzzScoreEvents(f *testing.F) {
 					}
 				}
 			}
+			checkExplain(t, a, x)
 		}
 	})
 }

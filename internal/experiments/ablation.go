@@ -215,34 +215,16 @@ func (l *Lab) AblationModelReduction(w io.Writer) ([]AblationResult, error) {
 		return nil, err
 	}
 	// Rank sub-models by mean probability of the true class on training
-	// data: high means the feature is reliably predictable from the rest.
+	// data (Train records it as NormalProb): high means the feature is
+	// reliably predictable from the rest.
 	type ranked struct {
 		idx  int
 		prob float64
 	}
-	maxCard := 1
-	for _, at := range a.Attrs {
-		if at.Card > maxCard {
-			maxCard = at.Card
-		}
-	}
-	buf := make([]float64, maxCard)
-	sums := make([]float64, len(a.Models))
-	for _, x := range d.TrainEvents {
-		for j, m := range a.Models {
-			if m == nil {
-				continue
-			}
-			p := ml.ProbaInto(m, x, buf)
-			if x[j] < len(p) {
-				sums[j] += p[x[j]]
-			}
-		}
-	}
 	order := make([]ranked, 0, len(a.Models))
 	for j, m := range a.Models {
 		if m != nil {
-			order = append(order, ranked{idx: j, prob: sums[j]})
+			order = append(order, ranked{idx: j, prob: a.NormalProb[j]})
 		}
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i].prob > order[j].prob })

@@ -21,13 +21,6 @@ import (
 	"crossfeature/internal/obs"
 )
 
-// batchKernelMin is the flattened row count below which scoreItems skips
-// the columnar dataset build and scores row-major via ScoreEvents: the
-// per-call cost of assembling columns and postings only pays for itself
-// with enough rows behind it. Both paths are pinned bit-identical to
-// Detector.Score, so the cutover can never change a verdict.
-const batchKernelMin = 8
-
 // BatchScoreRequest scores records for several streams in one request.
 type BatchScoreRequest struct {
 	Items []ScoreRequest `json:"items"`
@@ -59,14 +52,14 @@ type BatchScoreResponse struct {
 //  1. every item's records are discretised up front — an item with a bad
 //     record fails atomically, before any detector state mutates;
 //  2. all valid rows are flattened and scored in one Analyzer.ScoreAll
-//     pass through the compiled batch kernels (row-major ScoreEvents for
-//     tiny flat counts);
+//     pass through the compiled kernels (ScoreAll picks columnar or
+//     row-major by batch size and model);
 //  3. each item then takes only its own stream's shard and stream locks
 //     to run the precomputed scores through the detector's EWMA and
 //     hysteresis via ObserveScore.
 //
-// Verdicts are bit-identical to the per-record path: ScoreAll and
-// ScoreEvents are pinned to Score, and ObserveScore(raw) is exactly what
+// Verdicts are bit-identical to the per-record path: ScoreAll is pinned
+// to Score, and ObserveScore(raw) is exactly what
 // Observe computes internally. Returns per-item results in input order
 // and the total records scored.
 //
@@ -132,12 +125,7 @@ func (s *Server) scoreItems(lm *loadedModel, items []ScoreRequest, lvl int, tr *
 	tr.Hop("transform")
 
 	an := det.Analyzer
-	var scores []float64
-	if len(flat) >= batchKernelMin {
-		scores = an.ScoreAll(ml.DatasetOf(an.Attrs, flat), det.Scorer)
-	} else {
-		scores = an.ScoreEvents(flat, det.Scorer)
-	}
+	scores := an.ScoreAll(ml.DatasetOf(an.Attrs, flat), det.Scorer)
 	tr.Hop("kernel")
 
 	feat := s.featureMetricsFor(lm)

@@ -80,8 +80,7 @@ func (h *modelHolder) reload() error {
 		return err
 	}
 	// Compile the analyzer's flat inference kernels once per generation,
-	// before the swap: no request ever scores through the pointer-walking
-	// model forms, and none pays the compile either.
+	// before the swap, so no request pays the compile.
 	cs := b.Analyzer.Compile()
 	fb := b.FallbackDetector()
 	if fb != nil {
