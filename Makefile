@@ -1,20 +1,21 @@
 GO ?= go
 
-.PHONY: ci build test vet race short fuzz fuzz-smoke bench bench-train bench-score bench-serve bench-vet serve-smoke train-smoke score-smoke score-diff fmt serve-chaos crash-chaos obs-smoke loadgen-smoke metrics-lint
+.PHONY: ci build test vet race short fuzz fuzz-smoke bench bench-train bench-score bench-serve bench-sim bench-vet serve-smoke train-smoke score-smoke sim-smoke score-diff fmt serve-chaos crash-chaos obs-smoke loadgen-smoke metrics-lint
 
 # ci is the full gate: formatting and static analysis, a clean build of
 # every package and the test suite under the race detector, plus a smoke
 # pass over the training-path differential tests, a one-iteration spin of
 # the training benchmarks so a broken fast path fails fast, the compiled
 # scoring-kernel differential suite, a one-iteration spin of the
-# single-row scoring benchmark, a soak of the serving chaos suite,
+# single-row scoring benchmark and of the simulator benchmarks, a soak of
+# the serving chaos suite,
 # the crash-recovery suite, a one-iteration spin of the serving
 # throughput benchmark, an end-to-end scrape of the observability
 # surfaces, a short open-loop load-generator run against a live server,
 # the metrics naming/statz-drift lint, a short budget for the decoder and
 # scoring fuzz targets, and a vet and short test pass over the separate
 # bench module.
-ci: fmt vet build race train-smoke score-diff score-smoke serve-chaos crash-chaos serve-smoke obs-smoke loadgen-smoke metrics-lint fuzz-smoke bench-vet
+ci: fmt vet build race train-smoke score-diff score-smoke sim-smoke serve-chaos crash-chaos serve-smoke obs-smoke loadgen-smoke metrics-lint fuzz-smoke bench-vet
 
 # fmt fails (listing the offenders) if any file is not gofmt-clean.
 fmt:
@@ -92,6 +93,11 @@ train-smoke:
 	$(GO) test -run TestColumnarDifferential -count 1 ./internal/ml/...
 	$(GO) test -run '^$$' -bench '^Benchmark(C45Fit|RipperFit|NBFit|CoreTrain)$$' -benchtime 1x .
 
+# sim-smoke gives the AODV and DSR simulator benchmarks one iteration each,
+# so `make ci` exercises their bodies without paying for a measurement.
+sim-smoke:
+	$(GO) test -run '^$$' -bench '^BenchmarkSimulation(AODV|DSR)UDP$$' -benchtime 1x .
+
 build:
 	$(GO) build ./...
 
@@ -140,6 +146,14 @@ bench-score:
 	$(GO) test -run '^$$' -timeout 30m \
 		-bench '^Benchmark(ScoreAll|ScoreEvents|Explain|C45Predict|RipperPredict)$$' \
 		-benchmem -count 3 .
+
+# bench-sim measures the simulator alone: 20-node, 200 s AODV and DSR
+# scenarios over a fixed four-seed cycle (40 ops run each seed ten times),
+# on one CPU, with allocation counts and events per op, five times over
+# for a spread. Alternate it with a base tree's run to A/B a change.
+bench-sim:
+	$(GO) test -run '^$$' -bench '^BenchmarkSimulation(AODV|DSR)UDP$$' \
+		-benchtime 40x -cpu 1 -benchmem -count 5 .
 
 # bench-serve measures end-to-end serving throughput over real HTTP:
 # per-record /v1/score against /v1/score-batch at 1, 4 and 16 stream

@@ -200,15 +200,24 @@ func BenchmarkAblations(b *testing.B) {
 
 // --- component micro-benchmarks -------------------------------------------------
 
-// BenchmarkSimulationAODVUDP measures raw simulator throughput for the
-// default scenario shape.
-func BenchmarkSimulationAODVUDP(b *testing.B) {
+// simBenchSeeds is the fixed seed cycle of the simulator benchmarks: op i
+// simulates seed simBenchSeeds[i%len(simBenchSeeds)], so the work per op
+// does not depend on b.N, and a -benchtime that is a multiple of the cycle
+// length weighs every seed equally.
+var simBenchSeeds = [...]int64{1, 2, 3, 4}
+
+// benchSimulation runs the default scenario shape at bench scale under the
+// given routing protocol and reports the mean events per op.
+func benchSimulation(b *testing.B, routing netsim.RoutingKind) {
+	b.ReportAllocs()
+	var events uint64
 	for i := 0; i < b.N; i++ {
 		cfg := netsim.DefaultConfig()
 		cfg.Nodes = 20
 		cfg.Connections = 15
 		cfg.Duration = 200
-		cfg.Seed = int64(i + 1)
+		cfg.Routing = routing
+		cfg.Seed = simBenchSeeds[i%len(simBenchSeeds)]
 		net, err := netsim.New(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -216,28 +225,17 @@ func BenchmarkSimulationAODVUDP(b *testing.B) {
 		if err := net.Run(); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(net.Engine().Processed()), "events/op")
+		events += net.Engine().Processed()
 	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
+// BenchmarkSimulationAODVUDP measures raw simulator throughput for the
+// default scenario shape.
+func BenchmarkSimulationAODVUDP(b *testing.B) { benchSimulation(b, netsim.AODV) }
+
 // BenchmarkSimulationDSRUDP measures DSR (promiscuous) throughput.
-func BenchmarkSimulationDSRUDP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := netsim.DefaultConfig()
-		cfg.Nodes = 20
-		cfg.Connections = 15
-		cfg.Duration = 200
-		cfg.Routing = netsim.DSR
-		cfg.Seed = int64(i + 1)
-		net, err := netsim.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := net.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkSimulationDSRUDP(b *testing.B) { benchSimulation(b, netsim.DSR) }
 
 // benchDataset builds a discretised normal dataset once for the training
 // and scoring micro-benchmarks.

@@ -49,8 +49,15 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-routing", "babel"},
 		{"-transport", "sctp"},
 		{"-attack", "wormhole"},
+		// Non-finite settings used to be accepted; the first two never
+		// returned.
+		{"-duration", "NaN"},
+		{"-duration", "+Inf"},
+		{"-rate", "NaN"},
 	} {
-		if err := run(append(args, "-duration", "10", "-nodes", "5", "-connections", "2")); err == nil {
+		// The case's flags come last so they override the small defaults.
+		base := []string{"-duration", "10", "-nodes", "5", "-connections", "2"}
+		if err := run(append(base, args...)); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
 	}

@@ -98,6 +98,11 @@ type Router struct {
 	dropFilter routing.DropFilter
 	bhVictims  []packet.NodeID
 
+	// scratch holds candidate routes built from overheard and received
+	// headers. Most are already cached and only refresh an entry, so they
+	// are built here rather than allocated; addRoute copies what it keeps.
+	scratch []packet.NodeID
+
 	dataOriginated uint64
 	dataDelivered  uint64
 	dataForwarded  uint64
@@ -188,7 +193,8 @@ const (
 
 // addRoute inserts path (hops from this node, destination last) into the
 // cache. Shorter routes displace longer ones; the cache keeps CacheWays
-// entries per destination.
+// entries per destination. path may be shared or scratch: a new entry
+// stores a copy.
 func (r *Router) addRoute(path []packet.NodeID, how origin) {
 	if len(path) == 0 {
 		return
@@ -570,7 +576,7 @@ func (r *Router) handleRREQ(p *packet.Packet, from packet.NodeID) {
 		}
 	}
 	// Learn the reverse route to the originator from the accumulated record.
-	r.addRoute(reverseTo(hdr.Record, me, from), originNotice)
+	r.learnReverse(hdr.Record, from)
 
 	if hdr.Dst == me {
 		route := append(append([]packet.NodeID(nil), hdr.Record...), me)
@@ -599,37 +605,48 @@ func (r *Router) handleRREQ(p *packet.Packet, from packet.NodeID) {
 	r.env.Broadcast(fwd)
 }
 
-// reverseTo builds this node's route to the record's originator: the
-// transmitter first, then the record reversed down to the originator.
-func reverseTo(record []packet.NodeID, me, from packet.NodeID) []packet.NodeID {
-	out := make([]packet.NodeID, 0, len(record)+1)
+// reverseTo appends to dst this node's route to the record's originator:
+// the transmitter first, then the record reversed down to the originator.
+// It returns nil if the record passes through this node.
+func reverseTo(dst, record []packet.NodeID, me, from packet.NodeID) []packet.NodeID {
 	if len(record) == 0 || record[len(record)-1] != from {
-		out = append(out, from)
+		dst = append(dst, from)
 	}
 	for i := len(record) - 1; i >= 0; i-- {
 		if record[i] == me {
 			return nil
 		}
-		out = append(out, record[i])
+		dst = append(dst, record[i])
 	}
-	return out
+	return dst
+}
+
+// learnReverse offers the reversed record of a ROUTE REQUEST heard from
+// from to the cache, built in the scratch buffer.
+func (r *Router) learnReverse(record []packet.NodeID, from packet.NodeID) {
+	if path := reverseTo(r.scratch[:0], record, r.env.ID(), from); path != nil {
+		r.scratch = path
+		r.addRoute(path, originNotice)
+	}
+}
+
+// learnVia offers the route from, tail... to the cache, built in the
+// scratch buffer.
+func (r *Router) learnVia(from packet.NodeID, tail []packet.NodeID) {
+	r.scratch = append(append(r.scratch[:0], from), tail...)
+	r.addRoute(r.scratch, originNotice)
 }
 
 // loopFreeConcat appends tail to head if the result visits no node twice.
+// Routes are a few hops long, so linear scans beat building a set.
 func loopFreeConcat(head, tail []packet.NodeID) ([]packet.NodeID, bool) {
-	seen := make(map[packet.NodeID]struct{}, len(head)+len(tail))
-	for _, n := range head {
-		seen[n] = struct{}{}
-	}
-	out := append([]packet.NodeID(nil), head...)
-	for _, n := range tail {
-		if _, dup := seen[n]; dup {
+	for i, n := range tail {
+		if indexOf(head, n) >= 0 || indexOf(tail[:i], n) >= 0 {
 			return nil, false
 		}
-		seen[n] = struct{}{}
-		out = append(out, n)
 	}
-	return out, true
+	out := make([]packet.NodeID, 0, len(head)+len(tail))
+	return append(append(out, head...), tail...), true
 }
 
 // sendRREP unicasts a reply carrying the full route back to the originator
@@ -731,9 +748,7 @@ func (r *Router) OverhearFrame(p *packet.Packet, from packet.NodeID) {
 			return
 		}
 		// Reverse the overheard record: the transmitter is our neighbour.
-		if path := reverseTo(hdr.Record, me, from); path != nil {
-			r.addRoute(path, originNotice)
-		}
+		r.learnReverse(hdr.Record, from)
 	case packet.RouteReply:
 		hdr, ok := p.Header.(rrepHeader)
 		if !ok {
@@ -741,8 +756,7 @@ func (r *Router) OverhearFrame(p *packet.Packet, from packet.NodeID) {
 		}
 		idx := indexOf(hdr.Route, from)
 		if idx >= 0 && idx+1 < len(hdr.Route) && indexOf(hdr.Route[idx:], me) < 0 {
-			path := append([]packet.NodeID{from}, hdr.Route[idx+1:]...)
-			r.addRoute(path, originNotice)
+			r.learnVia(from, hdr.Route[idx+1:])
 		}
 	case packet.Data:
 		hdr, ok := p.Header.(srcRoute)
@@ -751,8 +765,7 @@ func (r *Router) OverhearFrame(p *packet.Packet, from packet.NodeID) {
 		}
 		idx := indexOf(hdr.Path, from)
 		if idx >= 0 && idx+1 < len(hdr.Path) && indexOf(hdr.Path[idx:], me) < 0 {
-			path := append([]packet.NodeID{from}, hdr.Path[idx+1:]...)
-			r.addRoute(path, originNotice)
+			r.learnVia(from, hdr.Path[idx+1:])
 		}
 	}
 }

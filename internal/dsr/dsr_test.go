@@ -283,17 +283,17 @@ func TestLoopFreeConcat(t *testing.T) {
 
 func TestReverseTo(t *testing.T) {
 	// record [5, 7] transmitted by 7, me=9: route to 5 is [7, 5].
-	got := reverseTo([]packet.NodeID{5, 7}, 9, 7)
+	got := reverseTo(nil, []packet.NodeID{5, 7}, 9, 7)
 	if !samePath(got, []packet.NodeID{7, 5}) {
 		t.Errorf("reverseTo = %v, want [7 5]", got)
 	}
 	// me inside the record: no route.
-	if reverseTo([]packet.NodeID{5, 9, 7}, 9, 7) != nil {
+	if reverseTo(nil, []packet.NodeID{5, 9, 7}, 9, 7) != nil {
 		t.Error("reverseTo through self should be nil")
 	}
 	// transmitter not the last record entry (bogus black-hole message):
 	// prepend it.
-	got = reverseTo([]packet.NodeID{5}, 9, 7)
+	got = reverseTo(nil, []packet.NodeID{5}, 9, 7)
 	if !samePath(got, []packet.NodeID{7, 5}) {
 		t.Errorf("reverseTo with detached transmitter = %v, want [7 5]", got)
 	}

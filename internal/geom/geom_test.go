@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -114,4 +115,87 @@ func anyNaNInf(vals ...float64) bool {
 		}
 	}
 	return false
+}
+
+// bitInputs returns the edge values the bit-equality tests cross with each
+// other: signed zeros, subnormals, the extremes of the normal range and
+// infinities, plus a few ordinary magnitudes.
+func bitInputs() []float64 {
+	vals := []float64{
+		0, 1, 0.5, 3, 4, 1e-12, 250, 1000, 1e150, 1e300,
+		math.SmallestNonzeroFloat64, 3 * math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), // largest subnormal
+		0x1p-1022,                                // smallest normal
+		math.MaxFloat64, math.Inf(1),
+	}
+	out := make([]float64, 0, 2*len(vals))
+	for _, v := range vals {
+		out = append(out, v, -v)
+	}
+	return out
+}
+
+// randomBits draws a float64 from random bit patterns (every exponent,
+// subnormals included), skipping NaN, so magnitudes span the whole range.
+func randomBits(rng *rand.Rand) float64 {
+	for {
+		if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) {
+			return f
+		}
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestLenMatchesHypotBits pins Len and Dist bit-equal to math.Hypot on
+// edge values and on random inputs of every magnitude.
+func TestLenMatchesHypotBits(t *testing.T) {
+	check := func(x, y float64) {
+		t.Helper()
+		if got, want := (Vec{x, y}).Len(), math.Hypot(x, y); !sameBits(got, want) {
+			t.Fatalf("Vec{%v, %v}.Len() = %v (%#x), math.Hypot = %v (%#x)",
+				x, y, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	edges := bitInputs()
+	for _, x := range edges {
+		for _, y := range edges {
+			check(x, y)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		check(randomBits(rng), randomBits(rng))
+		// Field-scale coordinates, the simulator's actual regime.
+		a := Vec{rng.Float64() * 1000, rng.Float64() * 1000}
+		b := Vec{rng.Float64() * 1000, rng.Float64() * 1000}
+		if got, want := a.Dist(b), math.Hypot(a.X-b.X, a.Y-b.Y); !sameBits(got, want) {
+			t.Fatalf("%v.Dist(%v) = %v, math.Hypot = %v", a, b, got, want)
+		}
+	}
+}
+
+// TestClampMatchesMinMaxBits pins Clamp bit-equal to
+// math.Min(math.Max(x, 0), hi) on edge values and random inputs.
+func TestClampMatchesMinMaxBits(t *testing.T) {
+	check := func(x, y, w, h float64) {
+		t.Helper()
+		got := Vec{x, y}.Clamp(w, h)
+		wantX, wantY := math.Min(math.Max(x, 0), w), math.Min(math.Max(y, 0), h)
+		if !sameBits(got.X, wantX) || !sameBits(got.Y, wantY) {
+			t.Fatalf("Vec{%v, %v}.Clamp(%v, %v) = %v, want {%v %v}", x, y, w, h, got, wantX, wantY)
+		}
+	}
+	edges := bitInputs()
+	for _, x := range edges {
+		for _, hi := range edges {
+			check(x, -x, hi, -hi)
+		}
+	}
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 200000; i++ {
+		check(randomBits(rng), randomBits(rng), randomBits(rng), randomBits(rng))
+		x, y := rng.Float64()*1200-100, rng.Float64()*1200-100
+		check(x, y, 1000, 1000)
+	}
 }

@@ -5,6 +5,7 @@ package mobility
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"crossfeature/internal/geom"
@@ -25,6 +26,20 @@ func DefaultConfig() Config {
 
 // Validate reports whether the configuration is self-consistent.
 func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"width", c.Width},
+		{"height", c.Height},
+		{"min speed", c.MinSpeed},
+		{"max speed", c.MaxSpeed},
+		{"pause", c.Pause},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("mobility: %s %g must be finite", f.name, f.v)
+		}
+	}
 	switch {
 	case c.Width <= 0 || c.Height <= 0:
 		return fmt.Errorf("mobility: field %gx%g must be positive", c.Width, c.Height)
@@ -79,11 +94,12 @@ func (w *Waypoint) pickLeg() {
 	w.until = w.now + dist/w.speed
 }
 
-// Update advances the trajectory to virtual time t. Time never moves
-// backwards; stale queries are answered from current state.
-func (w *Waypoint) Update(t float64) {
+// Update advances the trajectory to virtual time t and returns the
+// position there. Time never moves backwards; stale queries are answered
+// from current state.
+func (w *Waypoint) Update(t float64) geom.Vec {
 	if t <= w.now {
-		return
+		return w.pos
 	}
 	for {
 		if t < w.until {
@@ -94,7 +110,7 @@ func (w *Waypoint) Update(t float64) {
 				w.pos = w.pos.Clamp(w.cfg.Width, w.cfg.Height)
 			}
 			w.now = t
-			return
+			return w.pos
 		}
 		// Complete the current leg or pause and roll into the next.
 		if w.phase == phaseMoving {
@@ -128,8 +144,8 @@ type Static struct {
 	Pos geom.Vec
 }
 
-// Update is a no-op for static nodes.
-func (s *Static) Update(float64) {}
+// Update returns the pinned position.
+func (s *Static) Update(float64) geom.Vec { return s.Pos }
 
 // Position returns the pinned position.
 func (s *Static) Position() geom.Vec { return s.Pos }
@@ -140,7 +156,10 @@ func (s *Static) Speed() float64 { return 0 }
 // Model is the interface the radio medium and feature extractor use to
 // query node kinematics.
 type Model interface {
-	Update(t float64)
+	// Update advances the model to virtual time t and returns the
+	// position there, so a refresh is one call.
+	Update(t float64) geom.Vec
+	// Position returns the position at the last Update.
 	Position() geom.Vec
 	Speed() float64
 }

@@ -1,6 +1,7 @@
 package mobility
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -150,5 +151,29 @@ func TestQuickTrajectoryInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestValidateRejectsNonFinite checks every float field against NaN and
+// both infinities, which the range checks alone let through.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"width", func(c *Config, v float64) { c.Width = v }},
+		{"height", func(c *Config, v float64) { c.Height = v }},
+		{"min speed", func(c *Config, v float64) { c.MinSpeed = v }},
+		{"max speed", func(c *Config, v float64) { c.MaxSpeed = v }},
+		{"pause", func(c *Config, v float64) { c.Pause = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultConfig()
+			f.set(&cfg, v)
+			if err := cfg.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", f.name, v)
+			}
+		}
 	}
 }

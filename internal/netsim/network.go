@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 
 	"crossfeature/internal/aodv"
@@ -147,6 +148,19 @@ func DefaultConfig() Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"duration", c.Duration},
+		{"sample interval", c.SampleInterval},
+		{"rate", c.Rate},
+		{"connection start window", c.ConnStartWindow},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("netsim: %s %g must be finite", f.name, f.v)
+		}
+	}
 	switch {
 	case c.Nodes < 2:
 		return fmt.Errorf("netsim: need at least 2 nodes, have %d", c.Nodes)

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"testing"
 
 	"crossfeature/internal/attack"
@@ -42,6 +43,32 @@ func TestConfigValidation(t *testing.T) {
 				t.Error("want construction error")
 			}
 		})
+	}
+}
+
+// TestValidateRejectsNonFinite checks every float field of the scenario,
+// and one of each nested config, against NaN and both infinities: a NaN
+// duration used to pass Validate and run forever.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"duration", func(c *Config, v float64) { c.Duration = v }},
+		{"sample interval", func(c *Config, v float64) { c.SampleInterval = v }},
+		{"rate", func(c *Config, v float64) { c.Rate = v }},
+		{"connection start window", func(c *Config, v float64) { c.ConnStartWindow = v }},
+		{"mobility max speed", func(c *Config, v float64) { c.Mobility.MaxSpeed = v }},
+		{"radio loss rate", func(c *Config, v float64) { c.Radio.LossRate = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := tinyConfig()
+			f.set(&cfg, v)
+			if _, err := New(cfg); err == nil {
+				t.Errorf("%s = %v accepted", f.name, v)
+			}
+		}
 	}
 }
 

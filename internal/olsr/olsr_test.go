@@ -19,7 +19,7 @@ type movable struct {
 	pos geom.Vec
 }
 
-func (m *movable) Update(float64) {}
+func (m *movable) Update(float64) geom.Vec { return m.pos }
 
 func (m *movable) Position() geom.Vec { return m.pos }
 

@@ -49,6 +49,21 @@ func DefaultConfig() Config {
 
 // Validate reports whether the configuration is self-consistent.
 func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"range", c.Range},
+		{"bandwidth", c.Bandwidth},
+		{"propagation delay", c.PropDelay},
+		{"broadcast jitter", c.BroadcastJitter},
+		{"loss rate", c.LossRate},
+		{"MAC timeout", c.MACTimeout},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("radio: %s %g must be finite", f.name, f.v)
+		}
+	}
 	switch {
 	case c.Range <= 0:
 		return fmt.Errorf("radio: range %g must be positive", c.Range)
@@ -63,9 +78,12 @@ func (c Config) Validate() error {
 // Handler receives frames from the medium.
 type Handler interface {
 	// HandleFrame delivers a frame addressed to this node (or broadcast).
+	// The packet is the receiver's own copy: it may mutate or keep it.
 	HandleFrame(p *packet.Packet, from packet.NodeID)
 	// OverhearFrame delivers a frame addressed to another node; called only
-	// when the station registered with promiscuous mode.
+	// when the station registered with promiscuous mode. All bystanders of
+	// one transmission share one copy, so the packet is read-only: clone it
+	// before changing any field.
 	OverhearFrame(p *packet.Packet, from packet.NodeID)
 }
 
@@ -121,11 +139,39 @@ type Medium struct {
 	linkLoss  map[linkKey]float64
 	noise     float64
 	faultLost uint64
+
+	// Event callbacks bound once at construction, so scheduling a frame's
+	// airtime and deliveries allocates no closure (sim.Engine.AtCall).
+	broadcastAir, unicastAir, deliver, overhear func(arg any, n int)
+}
+
+// frame is one receiver's view of a transmission: the link-layer sender
+// and the packet copy it hears.
+type frame struct {
+	from packet.NodeID
+	pkt  packet.Packet
+}
+
+// unicastTx carries one unicast from queueing to delivery in a single
+// allocation: the sender's packet (copied at airtime), the failure
+// callback, the addressee's private copy and the one read-only copy that
+// every promiscuous bystander shares.
+type unicastTx struct {
+	to     packet.NodeID
+	p      *packet.Packet
+	onFail func()
+	rx     frame
+	heard  frame
 }
 
 // NewMedium creates a medium on the given engine.
 func NewMedium(eng *sim.Engine, cfg Config) *Medium {
-	return &Medium{eng: eng, cfg: cfg, rng: eng.Rand()}
+	m := &Medium{eng: eng, cfg: cfg, rng: eng.Rand()}
+	m.broadcastAir = m.broadcastAirtime
+	m.unicastAir = m.unicastAirtime
+	m.deliver = m.deliverFrame
+	m.overhear = m.overhearFrame
+	return m
 }
 
 // Attach registers a node. IDs must be assigned densely from zero in
@@ -232,8 +278,7 @@ func (m *Medium) position(id packet.NodeID) (x, y float64) {
 	st := m.stations[id]
 	now := m.eng.Now()
 	if st.posTime != now {
-		st.mob.Update(now)
-		p := st.mob.Position()
+		p := st.mob.Update(now)
 		st.posTime, st.posX, st.posY = now, p.X, p.Y
 	}
 	return st.posX, st.posY
@@ -328,33 +373,39 @@ func (m *Medium) Broadcast(from packet.NodeID, p *packet.Packet) {
 		return
 	}
 	m.sent++
-	m.eng.At(start, func() {
-		if m.stations[from].down {
-			return // crashed between queueing and airtime
+	m.eng.AtCall(start, m.broadcastAir, p, int(from))
+}
+
+// broadcastAirtime puts a queued broadcast (arg, from station n) on the
+// air. Every receiver that survives the loss draws gets a private copy of
+// the packet, all cut from one slab allocated for the transmission.
+func (m *Medium) broadcastAirtime(arg any, n int) {
+	from := packet.NodeID(n)
+	if m.stations[from].down {
+		return // crashed between queueing and airtime
+	}
+	p := arg.(*packet.Packet)
+	base := m.txDelay(p.Size) + m.cfg.PropDelay
+	nbrs := m.neighbors(from)
+	var copies []frame
+	for _, oid := range nbrs {
+		if m.cfg.LossRate > 0 && m.rng.Float64() < m.cfg.LossRate {
+			m.lost++
+			continue
 		}
-		base := m.txDelay(p.Size) + m.cfg.PropDelay
-		for _, oid := range m.neighbors(from) {
-			if m.cfg.LossRate > 0 && m.rng.Float64() < m.cfg.LossRate {
-				m.lost++
-				continue
-			}
-			if m.faultDropped(from, oid) {
-				continue
-			}
-			st := m.stations[oid]
-			delay := base
-			if m.cfg.BroadcastJitter > 0 {
-				delay += m.rng.Float64() * m.cfg.BroadcastJitter
-			}
-			pc := p.Clone()
-			m.eng.Schedule(delay, func() {
-				if st.down {
-					return
-				}
-				st.handler.HandleFrame(pc, from)
-			})
+		if m.faultDropped(from, oid) {
+			continue
 		}
-	})
+		delay := base
+		if m.cfg.BroadcastJitter > 0 {
+			delay += m.rng.Float64() * m.cfg.BroadcastJitter
+		}
+		if copies == nil {
+			copies = make([]frame, 0, len(nbrs)) // never regrown: the events hold &copies[i]
+		}
+		copies = append(copies, frame{from: from, pkt: *p})
+		m.eng.AtCall(m.eng.Now()+delay, m.deliver, &copies[len(copies)-1], int(oid))
+	}
 }
 
 // Unicast transmits p from one node to a specific next hop. If at
@@ -378,51 +429,72 @@ func (m *Medium) Unicast(from, to packet.NodeID, p *packet.Packet, onFail func()
 		return
 	}
 	m.sent++
-	m.eng.At(start, func() {
-		if m.stations[from].down {
-			return
+	m.eng.AtCall(start, m.unicastAir, &unicastTx{to: to, p: p, onFail: onFail}, int(from))
+}
+
+// unicastAirtime puts a queued unicast (arg, from station n) on the air.
+func (m *Medium) unicastAirtime(arg any, n int) {
+	from := packet.NodeID(n)
+	if m.stations[from].down {
+		return
+	}
+	tx := arg.(*unicastTx)
+	to := tx.to
+	// A down receiver is indistinguishable from one out of range: the
+	// MAC never sees an acknowledgement.
+	ok := m.InRange(from, to) && !m.stations[to].down
+	if ok && m.cfg.LossRate > 0 && m.rng.Float64() < m.cfg.LossRate {
+		m.lost++
+		ok = false
+	}
+	if ok && m.faultDropped(from, to) {
+		ok = false
+	}
+	if !ok {
+		if tx.onFail != nil {
+			m.eng.Schedule(m.cfg.MACTimeout, tx.onFail)
 		}
-		// A down receiver is indistinguishable from one out of range: the
-		// MAC never sees an acknowledgement.
-		ok := m.InRange(from, to) && !m.stations[to].down
-		if ok && m.cfg.LossRate > 0 && m.rng.Float64() < m.cfg.LossRate {
-			m.lost++
-			ok = false
+		return
+	}
+	delay := m.txDelay(tx.p.Size) + m.cfg.PropDelay
+	at := m.eng.Now() + delay
+	tx.rx = frame{from: from, pkt: *tx.p}
+	m.eng.AtCall(at, m.deliver, &tx.rx, int(to))
+	// Promiscuous delivery to bystanders within range of the sender, all
+	// reading one shared copy.
+	heard := false
+	for _, oid := range m.neighbors(from) {
+		if oid == to {
+			continue
 		}
-		if ok && m.faultDropped(from, to) {
-			ok = false
+		st := m.stations[oid]
+		if !st.promiscuous || st.down {
+			continue
 		}
-		if !ok {
-			if onFail != nil {
-				m.eng.Schedule(m.cfg.MACTimeout, onFail)
-			}
-			return
+		if !heard {
+			tx.heard = frame{from: from, pkt: *tx.p}
+			heard = true
 		}
-		delay := m.txDelay(p.Size) + m.cfg.PropDelay
-		dst := m.stations[to]
-		pc := p.Clone()
-		m.eng.Schedule(delay, func() {
-			if dst.down {
-				return
-			}
-			dst.handler.HandleFrame(pc, from)
-		})
-		// Promiscuous delivery to bystanders within range of the sender.
-		for _, oid := range m.neighbors(from) {
-			if oid == to {
-				continue
-			}
-			st := m.stations[oid]
-			if !st.promiscuous || st.down {
-				continue
-			}
-			oc := p.Clone()
-			m.eng.Schedule(delay, func() {
-				if st.down {
-					return
-				}
-				st.handler.OverhearFrame(oc, from)
-			})
-		}
-	})
+		m.eng.AtCall(at, m.overhear, &tx.heard, int(oid))
+	}
+	// The copies are taken. A receiver that keeps its copy keeps tx alive,
+	// so drop tx's hold on the sender's packet and callback.
+	tx.p, tx.onFail = nil, nil
+}
+
+// deliverFrame hands frame arg to station n's HandleFrame unless the
+// station went down while the frame was in flight.
+func (m *Medium) deliverFrame(arg any, n int) {
+	if st := m.stations[n]; !st.down {
+		f := arg.(*frame)
+		st.handler.HandleFrame(&f.pkt, f.from)
+	}
+}
+
+// overhearFrame is deliverFrame for a promiscuous bystander.
+func (m *Medium) overhearFrame(arg any, n int) {
+	if st := m.stations[n]; !st.down {
+		f := arg.(*frame)
+		st.handler.OverhearFrame(&f.pkt, f.from)
+	}
 }

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"math"
 	"testing"
 
 	"crossfeature/internal/geom"
@@ -312,10 +313,106 @@ type driftModel struct {
 	now   float64
 }
 
-func (d *driftModel) Update(t float64) {
+func (d *driftModel) Update(t float64) geom.Vec {
 	if t > d.now {
 		d.now = t
 	}
+	return d.Position()
 }
 func (d *driftModel) Position() geom.Vec { return geom.Vec{X: d.speed * d.now, Y: 0} }
 func (d *driftModel) Speed() float64     { return d.speed }
+
+// scribbler is a handler that overwrites every frame delivered to it, as a
+// forwarding router mutating its copy would.
+type scribbler struct{ recorder }
+
+func (s *scribbler) HandleFrame(p *packet.Packet, from packet.NodeID) {
+	s.recorder.HandleFrame(p, from)
+	p.TTL, p.Hops, p.Header = -1, 99, "scribbled"
+}
+
+// TestFrameCopiesAreIsolated pins the frame copy-ownership rules: each
+// broadcast receiver and each unicast addressee owns its copy, promiscuous
+// bystanders share one read-only copy separate from the addressee's, and
+// nothing a receiver does reaches the sender's packet.
+func TestFrameCopiesAreIsolated(t *testing.T) {
+	eng := sim.New(1)
+	m := NewMedium(eng, DefaultConfig())
+	mut := &scribbler{}
+	recs := []*recorder{{}, {}, {}, {}}
+	m.Attach(&mobility.Static{Pos: geom.Vec{X: 0}}, recs[0], true)
+	m.Attach(&mobility.Static{Pos: geom.Vec{X: 50}}, mut, true)
+	m.Attach(&mobility.Static{Pos: geom.Vec{X: 100}}, recs[2], true)
+	m.Attach(&mobility.Static{Pos: geom.Vec{X: 150}}, recs[3], true)
+	var alloc packet.Allocator
+	orig := alloc.New(packet.Hello, 0, packet.Broadcast, packet.ControlSize)
+	orig.Header = "hello"
+	want := *orig
+	intact := func(what string, p *packet.Packet) {
+		t.Helper()
+		if *p != want {
+			t.Errorf("%s sees %+v, want %+v", what, *p, want)
+		}
+	}
+
+	m.Broadcast(0, orig)
+	if err := eng.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	if len(mut.frames) != 1 || len(recs[2].frames) != 1 || len(recs[3].frames) != 1 {
+		t.Fatalf("broadcast reached %d/%d/%d receivers", len(mut.frames), len(recs[2].frames), len(recs[3].frames))
+	}
+	intact("the sender", orig)
+	intact("receiver 2", recs[2].frames[0])
+	intact("receiver 3", recs[3].frames[0])
+
+	// Unicast the same packet to the scribbler with nodes 2 and 3
+	// listening promiscuously.
+	orig.Dst = 1
+	want = *orig
+	m.Unicast(0, 1, orig, nil)
+	if err := eng.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	if len(mut.frames) != 2 || len(recs[2].overheard) != 1 || len(recs[3].overheard) != 1 {
+		t.Fatalf("unicast: addressee got %d frames, bystanders overheard %d/%d",
+			len(mut.frames), len(recs[2].overheard), len(recs[3].overheard))
+	}
+	intact("the sender", orig)
+	intact("bystander 2", recs[2].overheard[0])
+	intact("bystander 3", recs[3].overheard[0])
+	if recs[2].overheard[0] != recs[3].overheard[0] {
+		t.Error("bystanders of one unicast got separate copies, want one shared copy")
+	}
+	if mut.frames[1] == recs[2].overheard[0] || mut.frames[1] == orig {
+		t.Error("the addressee's copy is shared")
+	}
+	if len(recs[0].frames)+len(recs[0].overheard) != 0 {
+		t.Error("the sender heard its own frame")
+	}
+}
+
+// TestValidateRejectsNonFinite checks every float field against NaN and
+// both infinities, which the range checks alone let through.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"range", func(c *Config, v float64) { c.Range = v }},
+		{"bandwidth", func(c *Config, v float64) { c.Bandwidth = v }},
+		{"propagation delay", func(c *Config, v float64) { c.PropDelay = v }},
+		{"broadcast jitter", func(c *Config, v float64) { c.BroadcastJitter = v }},
+		{"loss rate", func(c *Config, v float64) { c.LossRate = v }},
+		{"MAC timeout", func(c *Config, v float64) { c.MACTimeout = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultConfig()
+			f.set(&cfg, v)
+			if err := cfg.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", f.name, v)
+			}
+		}
+	}
+}

@@ -10,6 +10,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -17,19 +18,29 @@ import (
 // the horizon was reached.
 var ErrStopped = errors.New("sim: engine stopped")
 
-// Event is a callback scheduled to run at a virtual time.
+// event is one heap entry: when a callback fires, its scheduling order
+// and the slot of Engine.slots that holds it. It carries no pointers, so
+// sifting entries through the heap never runs a GC write barrier and the
+// collector never scans the heap's backing array.
 type event struct {
-	at  float64
-	seq uint64
-	fn  func()
+	at   float64
+	seq  uint64
+	slot int32
+}
+
+// callback is a scheduled function, parked in the engine's slot slab while
+// its event is pending. Exactly one of fn and call is set.
+type callback struct {
+	fn   func()
+	call func(arg any, n int)
+	arg  any
+	n    int
 }
 
 // eventQueue is a binary min-heap of event values ordered by (time,
 // sequence). It is hand-rolled rather than built on container/heap so
 // pushes and pops move plain struct values: no per-event heap allocation
-// and no boxing of events through the `any` interface, which together
-// account for one allocation per scheduled event on the simulator's
-// hottest path.
+// and no boxing of events through the `any` interface.
 type eventQueue []event
 
 func (q eventQueue) less(i, j int) bool {
@@ -60,7 +71,6 @@ func (q *eventQueue) pop() event {
 	n := len(h) - 1
 	top := h[0]
 	h[0] = h[n]
-	h[n] = event{} // release the callback for GC
 	h = h[:n]
 	*q = h
 	i := 0
@@ -88,6 +98,8 @@ type Engine struct {
 	now       float64
 	seq       uint64
 	queue     eventQueue
+	slots     []callback // callbacks of pending events, indexed by event.slot
+	free      []int32    // slots whose event has fired, reused LIFO
 	rng       *rand.Rand
 	stopped   bool
 	processed uint64
@@ -122,10 +134,16 @@ func (e *Engine) QueueHighWater() int { return e.highWater }
 // treated as zero (fire as soon as possible, after already-queued events at
 // the current instant).
 func (e *Engine) Schedule(delay float64, fn func()) {
+	e.At(e.after(delay), fn)
+}
+
+// after is the absolute time delay seconds from now, a negative delay
+// counting as zero.
+func (e *Engine) after(delay float64) float64 {
 	if delay < 0 {
 		delay = 0
 	}
-	e.At(e.now+delay, fn)
+	return e.now + delay
 }
 
 // At runs fn at absolute virtual time t. Times in the past are clamped to
@@ -134,11 +152,36 @@ func (e *Engine) At(t float64, fn func()) {
 	if fn == nil {
 		return
 	}
+	e.push(t, callback{fn: fn})
+}
+
+// AtCall runs call(arg, n) at absolute virtual time t, with At's ordering
+// and clamping. It is the closure-free way to schedule: call is bound once
+// (a top-level function, or a method value built at construction) and arg
+// is a pointer, so scheduling allocates nothing per event.
+func (e *Engine) AtCall(t float64, call func(arg any, n int), arg any, n int) {
+	if call == nil {
+		return
+	}
+	e.push(t, callback{call: call, arg: arg, n: n})
+}
+
+// push parks cb in a free slot and queues its event at t.
+func (e *Engine) push(t float64, cb callback) {
 	if t < e.now {
 		t = e.now
 	}
+	var slot int32
+	if k := len(e.free); k > 0 {
+		slot = e.free[k-1]
+		e.free = e.free[:k-1]
+	} else {
+		slot = int32(len(e.slots))
+		e.slots = append(e.slots, callback{})
+	}
+	e.slots[slot] = cb
 	e.seq++
-	e.queue.push(event{at: t, seq: e.seq, fn: fn})
+	e.queue.push(event{at: t, seq: e.seq, slot: slot})
 	if n := len(e.queue); n > e.highWater {
 		e.highWater = n
 	}
@@ -151,7 +194,10 @@ func (e *Engine) Stop() { e.stopped = true }
 // virtual clock would pass until. Events scheduled exactly at the horizon
 // still fire. It returns ErrStopped if Stop was called.
 func (e *Engine) Run(until float64) error {
-	if until < e.now {
+	switch {
+	case math.IsNaN(until):
+		return errors.New("sim: horizon is NaN")
+	case until < e.now:
 		return fmt.Errorf("sim: horizon %v is before current time %v", until, e.now)
 	}
 	e.stopped = false
@@ -163,9 +209,16 @@ func (e *Engine) Run(until float64) error {
 			break
 		}
 		next := e.queue.pop()
+		cb := e.slots[next.slot]
+		e.slots[next.slot] = callback{} // release the callback for GC
+		e.free = append(e.free, next.slot)
 		e.now = next.at
 		e.processed++
-		next.fn()
+		if cb.fn != nil {
+			cb.fn()
+		} else {
+			cb.call(cb.arg, cb.n)
+		}
 	}
 	e.now = until
 	return nil

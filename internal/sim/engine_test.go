@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -115,6 +116,19 @@ func TestRunBackwardsErrors(t *testing.T) {
 	}
 	if err := e.Run(3); err == nil {
 		t.Error("Run with horizon in the past should error")
+	}
+}
+
+// TestRunRejectsNaNHorizon: NaN compares false against the clock, so a NaN
+// horizon used to slip past the backwards check and never end the run.
+func TestRunRejectsNaNHorizon(t *testing.T) {
+	e := New(1)
+	e.Tick(1, 0, func() {})
+	if err := e.Run(math.NaN()); err == nil {
+		t.Error("Run(NaN) should error")
+	}
+	if e.Processed() != 0 {
+		t.Errorf("Run(NaN) fired %d events", e.Processed())
 	}
 }
 
