@@ -86,11 +86,16 @@ score-diff:
 score-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkScoreEvents$$' -benchtime 1x .
 
-# train-smoke re-runs the columnar-vs-naive differential tests and gives
-# each training benchmark a single iteration; it exists so `make ci`
-# exercises the benchmark bodies without paying for a full measurement.
+# train-smoke re-runs each learner's differential test of Fit against its
+# test-only row-major oracle, the direct check of RIPPER's prefix pruning
+# against a brute-force rescan, the out-of-range-settings regressions and
+# the malformed-row rejection of Train, and gives each training benchmark
+# a single iteration; it exists so `make ci` exercises the benchmark
+# bodies without paying for a full measurement.
 train-smoke:
-	$(GO) test -run TestColumnarDifferential -count 1 ./internal/ml/...
+	$(GO) test -run 'TestColumnarDifferential|TestPruneRuleIncremental|TestOutOfRangeSettingsUseDefaults' \
+		-count 1 ./internal/ml/...
+	$(GO) test -run 'TestTrainRejectsMalformedRows' -count 1 . ./internal/core/
 	$(GO) test -run '^$$' -bench '^Benchmark(C45Fit|RipperFit|NBFit|CoreTrain)$$' -benchtime 1x .
 
 # sim-smoke gives the AODV and DSR simulator benchmarks one iteration each,
@@ -129,10 +134,12 @@ bench:
 
 # bench-train measures only the learner training paths (per-learner Fit and
 # the end-to-end core.Train ensemble) on the paper-shaped synthetic audit
-# dataset. Append the output to the dated BENCH file when recording a
-# before/after for a training-path change.
+# dataset, at a fixed five iterations per count on one CPU, five times
+# over for a spread (the default one-second benchtime gives CoreTrain only
+# one or two ops). Alternate it with a base tree's run to A/B a change.
 bench-train:
-	$(GO) test -run '^$$' -bench '^Benchmark(C45Fit|RipperFit|NBFit|CoreTrain)$$' -benchmem -count 3 .
+	$(GO) test -run '^$$' -bench '^Benchmark(C45Fit|RipperFit|NBFit|CoreTrain)$$' \
+		-benchtime 5x -cpu 1 -benchmem -count 5 .
 
 # bench-score measures only the inference paths on the same dataset:
 # BenchmarkScoreAll over the whole set and over 1-, 8-, 32- and 128-row

@@ -33,7 +33,7 @@ func runServe(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("cfa serve", flag.ContinueOnError)
 	model := fs.String("model", "model.bin", "model path from cfa train")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
-	debugAddr := fs.String("debug-addr", "", "optional debug listener (pprof, /metrics, /tracez); keep it private")
+	debugAddr := fs.String("debug-addr", "", "optional debug listener (pprof, /metrics, /flightz, /failpoints); keep it private")
 	featureMetrics := fs.Bool("feature-metrics", false, "export per-feature match/probability metrics (adds a per-record Explain pass, 1.0-1.7x the cost of scoring the record)")
 	concurrency := fs.Int("concurrency", 0, "max in-flight score requests (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "max queued score requests beyond the in-flight limit (0 = default)")
@@ -141,7 +141,7 @@ func runServe(ctx context.Context, args []string, w io.Writer) error {
 	// pprof handlers can be made to do unbounded work, so they must not sit
 	// behind the admission controller they would distort.
 	if *debugAddr != "" {
-		mux := obs.DebugMux(reg, nil)
+		mux := obs.DebugMux(reg)
 		fph := http.StripPrefix("/failpoints", failpoint.Handler())
 		mux.Handle("/failpoints", fph)
 		mux.Handle("/failpoints/", fph)
@@ -152,7 +152,7 @@ func runServe(ctx context.Context, args []string, w io.Writer) error {
 			return err
 		}
 		defer ps.Close()
-		fmt.Fprintf(w, "cfa serve: debug surface on http://%s/debug/pprof/ (and /metrics, /tracez, /flightz, /failpoints)\n", ps.Addr())
+		fmt.Fprintf(w, "cfa serve: debug surface on http://%s/debug/pprof/ (and /metrics, /flightz, /failpoints)\n", ps.Addr())
 	}
 
 	hup := make(chan os.Signal, 1)

@@ -37,8 +37,8 @@ func (b *syncBuffer) String() string {
 
 // TestObsSmoke boots the full service on ephemeral ports and scrapes the
 // observability surfaces end to end: /metrics on the public listener and
-// pprof + /metrics + /tracez on the debug listener. This is the test
-// behind `make obs-smoke`.
+// pprof + /metrics + /flightz on the debug listener, which serves no
+// /tracez. This is the test behind `make obs-smoke`.
 func TestObsSmoke(t *testing.T) {
 	dir := t.TempDir()
 	normal := filepath.Join(dir, "normal.csv")
@@ -116,8 +116,8 @@ func TestObsSmoke(t *testing.T) {
 		!strings.Contains(body, "heap profile") {
 		t.Errorf("heap profile (status %d) wrong: %.200s", code, body)
 	}
-	if code, _ := get("http://" + debug + "/tracez"); code != http.StatusOK {
-		t.Errorf("/tracez status %d", code)
+	if code, _ := get("http://" + debug + "/tracez"); code != http.StatusNotFound {
+		t.Errorf("/tracez status %d, want 404", code)
 	}
 	// /flightz serves the versioned flight dump, and the scored request
 	// above must already be in it with its per-hop timeline.

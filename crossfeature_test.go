@@ -172,6 +172,29 @@ func TestMalformedAuditDataNoPanic(t *testing.T) {
 	_ = det.IsAnomaly(nil) // fully empty record: no panic either
 }
 
+// TestTrainRejectsMalformedRows pins that rows written straight into the
+// exported Dataset.X, bypassing Add's checks, come back as an error from
+// Train instead of a panic.
+func TestTrainRejectsMalformedRows(t *testing.T) {
+	attrs := []crossfeature.Attr{{Name: "a", Card: 2}, {Name: "b", Card: 2}, {Name: "c", Card: 3}}
+	for name, bad := range map[string][]int{
+		"out-of-range value": {0, 5, 1},
+		"short row":          {0, 1},
+		"negative value":     {-1, 0, 2},
+	} {
+		ds := crossfeature.NewDataset(attrs)
+		for i := 0; i < 40; i++ {
+			if err := ds.Add([]int{i % 2, i % 2, i % 3}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ds.X = append(ds.X, bad)
+		if _, err := crossfeature.Train(ds, crossfeature.NewRIPPER(), crossfeature.TrainOptions{}); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
 func TestPublicAPIPersistence(t *testing.T) {
 	ds := crossfeature.NewDataset([]crossfeature.Attr{
 		{Name: "x", Card: 3}, {Name: "y", Card: 3},

@@ -96,6 +96,12 @@ func Train(ds *ml.Dataset, learner ml.Learner, opts TrainOptions) (*Analyzer, er
 	if learner == nil {
 		return nil, fmt.Errorf("core: nil learner")
 	}
+	// Dataset.X is exported, so rows may not have passed Add's checks; the
+	// column view and every learner index tables by value and would panic
+	// on a short row or an out-of-range value.
+	if err := ds.Validate(); err != nil {
+		return nil, fmt.Errorf("core: invalid training set: %w", err)
+	}
 	l := len(ds.Attrs)
 	a := &Analyzer{
 		Attrs:       append([]ml.Attr(nil), ds.Attrs...),

@@ -139,6 +139,25 @@ func TestTrainErrors(t *testing.T) {
 	}
 }
 
+// TestTrainRejectsMalformedRows pins that rows written straight into the
+// exported Dataset.X, bypassing Add's checks, come back as an error from
+// Train instead of panicking inside the column view or a learner.
+func TestTrainRejectsMalformedRows(t *testing.T) {
+	for name, corrupt := range map[string]func(ds *ml.Dataset){
+		"out-of-range value": func(ds *ml.Dataset) { ds.X[5][1] = 5 },
+		"short row":          func(ds *ml.Dataset) { ds.X[5] = ds.X[5][:2] },
+		"negative value":     func(ds *ml.Dataset) { ds.X[5][0] = -1 },
+	} {
+		for _, learner := range []ml.Learner{c45.NewLearner(), ripper.NewLearner(), nbayes.NewLearner()} {
+			ds := correlatedDataset(t, 50, 2)
+			corrupt(ds)
+			if _, err := Train(ds, learner, TrainOptions{}); err == nil {
+				t.Errorf("%s: %s accepted", learner.Name(), name)
+			}
+		}
+	}
+}
+
 func TestSkipConstantFeatures(t *testing.T) {
 	ds := ml.NewDataset([]ml.Attr{{Name: "const", Card: 1}, {Name: "v", Card: 2}})
 	for i := 0; i < 20; i++ {

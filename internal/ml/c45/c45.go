@@ -21,7 +21,8 @@ type Learner struct {
 	MaxDepth int
 	// Prune enables pessimistic error pruning.
 	Prune bool
-	// CF is the pruning confidence (C4.5's -c, default 0.25).
+	// CF is the pruning confidence (C4.5's -c, default 0.25); a value
+	// outside (0, 1) takes the default.
 	CF float64
 	// HoldoutFrac, when positive, withholds the trailing fraction of the
 	// training instances as a validation block: the tree is grown on the
@@ -70,13 +71,6 @@ var (
 // node come from one pass over the node's rows, and child partitions reuse
 // the winning attribute's histogram instead of re-tallying.
 func (l *Learner) Fit(ds *ml.Dataset, target int) (ml.Classifier, error) {
-	return l.fitWith(ds, target, ds.Columns())
-}
-
-// fitWith grows the tree with the columnar count kernels when cols is
-// non-nil, or with the naive row-major reference path otherwise. The two
-// paths are pinned bit-identical by differential tests.
-func (l *Learner) fitWith(ds *ml.Dataset, target int, cols *ml.Columns) (ml.Classifier, error) {
 	if target < 0 || target >= len(ds.Attrs) {
 		return nil, fmt.Errorf("c45: target %d outside schema of %d attributes", target, len(ds.Attrs))
 	}
@@ -88,16 +82,10 @@ func (l *Learner) fitWith(ds *ml.Dataset, target int, cols *ml.Columns) (ml.Clas
 		minLeaf = 2
 	}
 	cf := l.CF
-	if cf <= 0 || cf >= 1 {
+	if !(cf > 0 && cf < 1) {
 		cf = 0.25
 	}
-	b := &builder{
-		ds:      ds,
-		target:  target,
-		classes: ds.Attrs[target].Card,
-		minLeaf: minLeaf,
-		maxDept: l.MaxDepth,
-	}
+	b := newBuilder(ds, target, minLeaf, l.MaxDepth)
 	rows := make([]int, ds.Len())
 	for i := range rows {
 		rows[i] = i
@@ -112,13 +100,7 @@ func (l *Learner) fitWith(ds *ml.Dataset, target int, cols *ml.Columns) (ml.Clas
 	}
 	used := make([]bool, len(ds.Attrs))
 	used[target] = true
-	var root *Node
-	if cols != nil {
-		cb := newColBuilder(b, cols)
-		root = cb.build(growRows, used, 0, cb.tally(growRows))
-	} else {
-		root = b.build(growRows, used, 0)
-	}
+	root := b.build(growRows, used, 0, b.tally(growRows))
 	if l.Prune {
 		z := zFromCF(cf)
 		pruneNode(root, z)
@@ -202,139 +184,6 @@ func clearCounts(n *Node, classes int) {
 	for _, ch := range n.Children {
 		clearCounts(ch, classes)
 	}
-}
-
-type builder struct {
-	ds      *ml.Dataset
-	target  int
-	classes int
-	minLeaf int
-	maxDept int
-}
-
-// counts tallies target classes over the given rows.
-func (b *builder) counts(rows []int) []int {
-	c := make([]int, b.classes)
-	for _, i := range rows {
-		c[b.ds.X[i][b.target]]++
-	}
-	return c
-}
-
-// build grows a subtree over rows; used marks attributes already split on
-// along this path (nominal attributes are split at most once per path).
-func (b *builder) build(rows []int, used []bool, depth int) *Node {
-	counts := b.counts(rows)
-	n := &Node{Attr: -1, Counts: counts}
-	if pure(counts) || len(rows) < 2*b.minLeaf {
-		return n
-	}
-	if b.maxDept > 0 && depth >= b.maxDept {
-		return n
-	}
-	attr, gainOK := b.bestSplit(rows, used, counts)
-	if !gainOK {
-		return n
-	}
-	card := b.ds.Attrs[attr].Card
-	parts := make([][]int, card)
-	for _, i := range rows {
-		v := b.ds.X[i][attr]
-		parts[v] = append(parts[v], i)
-	}
-	n.Attr = attr
-	n.Children = make([]*Node, card)
-	childUsed := append([]bool(nil), used...)
-	childUsed[attr] = true
-	for v, part := range parts {
-		if len(part) == 0 {
-			continue // fall back to this node's counts at prediction time
-		}
-		n.Children[v] = b.build(part, childUsed, depth+1)
-	}
-	return n
-}
-
-// bestSplit selects the attribute with the highest gain ratio among those
-// with above-average information gain (Quinlan's gain-ratio guard).
-func (b *builder) bestSplit(rows []int, used []bool, parentCounts []int) (int, bool) {
-	baseH := ml.Entropy(parentCounts)
-	total := float64(len(rows))
-
-	type cand struct {
-		attr  int
-		gain  float64
-		ratio float64
-	}
-	var cands []cand
-	for a := range b.ds.Attrs {
-		if used[a] {
-			continue
-		}
-		card := b.ds.Attrs[a].Card
-		if card < 2 {
-			continue
-		}
-		// Joint histogram: per attribute value, class counts.
-		sub := make([][]int, card)
-		sizes := make([]int, card)
-		for _, i := range rows {
-			v := b.ds.X[i][a]
-			if sub[v] == nil {
-				sub[v] = make([]int, b.classes)
-			}
-			sub[v][b.ds.X[i][b.target]]++
-			sizes[v]++
-		}
-		nonEmpty := 0
-		var condH, splitH float64
-		for v := 0; v < card; v++ {
-			if sizes[v] == 0 {
-				continue
-			}
-			nonEmpty++
-			p := float64(sizes[v]) / total
-			condH += p * ml.Entropy(sub[v])
-			splitH -= p * math.Log2(p)
-		}
-		if nonEmpty < 2 {
-			continue
-		}
-		gain := baseH - condH
-		if gain <= 1e-12 || splitH <= 1e-12 {
-			continue
-		}
-		cands = append(cands, cand{attr: a, gain: gain, ratio: gain / splitH})
-	}
-	if len(cands) == 0 {
-		return 0, false
-	}
-	var avgGain float64
-	for _, c := range cands {
-		avgGain += c.gain
-	}
-	avgGain /= float64(len(cands))
-	best := -1
-	bestRatio := math.Inf(-1)
-	for _, c := range cands {
-		if c.gain+1e-12 < avgGain {
-			continue
-		}
-		if c.ratio > bestRatio {
-			bestRatio = c.ratio
-			best = c.attr
-		}
-	}
-	if best < 0 {
-		// All below average (ties); take the best ratio outright.
-		for _, c := range cands {
-			if c.ratio > bestRatio {
-				bestRatio = c.ratio
-				best = c.attr
-			}
-		}
-	}
-	return best, best >= 0
 }
 
 func pure(counts []int) bool {

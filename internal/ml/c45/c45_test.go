@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -202,6 +203,36 @@ func TestFitErrors(t *testing.T) {
 	empty := ml.NewDataset([]ml.Attr{{Name: "a", Card: 2}})
 	if _, err := NewLearner().Fit(empty, 0); err == nil {
 		t.Error("empty dataset accepted")
+	}
+}
+
+// TestOutOfRangeSettingsUseDefaults pins the documented fallbacks: a CF
+// outside (0, 1), NaN and the infinities included, prunes as the default
+// 0.25 does, and a MinLeaf below 1 grows as the default 2 does.
+func TestOutOfRangeSettingsUseDefaults(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var variants []*Learner
+	for _, cf := range []float64{0, -1, 1, 1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		variants = append(variants, &Learner{MinLeaf: 2, Prune: true, CF: cf})
+	}
+	variants = append(variants, &Learner{MinLeaf: 0, Prune: true, CF: 0.25}, &Learner{MinLeaf: -3, Prune: true, CF: 0.25})
+	for trial := 0; trial < 20; trial++ {
+		ds := randomDataset(rng)
+		target := rng.Intn(len(ds.Attrs))
+		want, err := NewLearner().Fit(ds, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range variants {
+			got, err := l.Fit(ds, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: %+v grew a %d-node tree, the default grows %d nodes",
+					trial, l, got.(*Tree).Size(), want.(*Tree).Size())
+			}
+		}
 	}
 }
 

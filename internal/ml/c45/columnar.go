@@ -6,16 +6,19 @@ import (
 	"crossfeature/internal/ml"
 )
 
-// colBuilder grows a tree on the dataset's column-major view. It produces
-// exactly the tree the row-major builder produces — identical structure
-// and identical integer histograms, hence identical floats downstream —
-// but tallies every candidate attribute of a node from contiguous columns
-// into one reused scratch table, derives each child's class histogram from
-// the winning attribute's counts instead of re-scanning the child's rows,
-// and partitions a node's rows into one preallocated backing array.
-type colBuilder struct {
-	*builder
-	cols *ml.Columns
+// builder grows a tree on the dataset's column-major view. It tallies
+// every candidate attribute of a node from contiguous columns into one
+// reused scratch table, derives each child's class histogram from the
+// winning attribute's counts instead of re-scanning the child's rows, and
+// partitions a node's rows into one preallocated backing array. The
+// row-major oracle in the tests pins the trees it grows bit for bit.
+type builder struct {
+	ds      *ml.Dataset
+	cols    *ml.Columns
+	target  int
+	classes int
+	minLeaf int
+	maxDept int
 	// tcol is the target attribute's column.
 	tcol []int32
 	// cnt is the scratch contingency table (maxCard × classes), reused
@@ -31,23 +34,29 @@ type splitCand struct {
 	ratio float64
 }
 
-func newColBuilder(b *builder, cols *ml.Columns) *colBuilder {
+func newBuilder(ds *ml.Dataset, target, minLeaf, maxDepth int) *builder {
+	cols := ds.Columns()
+	classes := ds.Attrs[target].Card
 	maxCard := 1
-	for _, at := range b.ds.Attrs {
+	for _, at := range ds.Attrs {
 		if at.Card > maxCard {
 			maxCard = at.Card
 		}
 	}
-	return &colBuilder{
-		builder: b,
+	return &builder{
+		ds:      ds,
 		cols:    cols,
-		tcol:    cols.Cols[b.target],
-		cnt:     make([]int, maxCard*b.classes),
+		target:  target,
+		classes: classes,
+		minLeaf: minLeaf,
+		maxDept: maxDepth,
+		tcol:    cols.Cols[target],
+		cnt:     make([]int, maxCard*classes),
 	}
 }
 
 // tally computes the class histogram of rows from the target column.
-func (b *colBuilder) tally(rows []int) []int {
+func (b *builder) tally(rows []int) []int {
 	c := make([]int, b.classes)
 	for _, i := range rows {
 		c[b.tcol[i]]++
@@ -55,10 +64,12 @@ func (b *colBuilder) tally(rows []int) []int {
 	return c
 }
 
-// build mirrors builder.build with the node's class histogram passed down
-// from the parent's split counts rather than re-tallied. The used mask is
-// toggled in place around the recursion instead of copied per node.
-func (b *colBuilder) build(rows []int, used []bool, depth int, counts []int) *Node {
+// build grows a subtree over rows whose class histogram is counts, passed
+// down from the parent's split counts rather than re-tallied. used marks
+// the attributes already split on along this path (nominal attributes are
+// split at most once per path); it is toggled in place around the
+// recursion instead of copied per node.
+func (b *builder) build(rows []int, used []bool, depth int, counts []int) *Node {
 	n := &Node{Attr: -1, Counts: counts}
 	if pure(counts) || len(rows) < 2*b.minLeaf {
 		return n
@@ -90,8 +101,7 @@ func (b *colBuilder) build(rows []int, used []bool, depth int, counts []int) *No
 		starts[v+1] = starts[v] + size
 	}
 	// Partition rows value-major into one backing array, preserving the
-	// original row order within each value (the order the naive builder's
-	// per-value appends produce).
+	// original row order within each value.
 	next := make([]int, card)
 	copy(next, starts[:card])
 	backing := make([]int, len(rows))
@@ -114,10 +124,11 @@ func (b *colBuilder) build(rows []int, used []bool, depth int, counts []int) *No
 	return n
 }
 
-// bestSplit is builder.bestSplit on columns: every candidate attribute's
-// joint histogram comes from one walk of its column (and the target's)
-// into the shared scratch table.
-func (b *colBuilder) bestSplit(rows []int, used []bool, parentCounts []int) (int, bool) {
+// bestSplit selects the attribute with the highest gain ratio among those
+// with above-average information gain (Quinlan's gain-ratio guard). Every
+// candidate attribute's joint histogram comes from one walk of its column
+// (and the target's) into the shared scratch table.
+func (b *builder) bestSplit(rows []int, used []bool, parentCounts []int) (int, bool) {
 	baseH := ml.Entropy(parentCounts)
 	total := float64(len(rows))
 	classes := b.classes

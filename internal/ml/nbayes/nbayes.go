@@ -13,7 +13,8 @@ import (
 
 // Learner configures Naive Bayes fitting.
 type Learner struct {
-	// Alpha is the additive smoothing constant (1 = Laplace).
+	// Alpha is the additive smoothing constant (1 = Laplace); a value that
+	// is not positive and finite takes 1.
 	Alpha float64
 }
 
@@ -43,14 +44,6 @@ var (
 // dataset's column-major view: each attribute's tally walks two contiguous
 // int32 columns instead of hopping across row-major rows.
 func (l *Learner) Fit(ds *ml.Dataset, target int) (ml.Classifier, error) {
-	return l.fitWith(ds, target, ds.Columns())
-}
-
-// fitWith fits with the columnar count kernel when cols is non-nil, or
-// the naive row-major reference path otherwise. Counts are identical
-// integers either way, so the derived log-probabilities are bit-identical
-// (differential tests pin this).
-func (l *Learner) fitWith(ds *ml.Dataset, target int, cols *ml.Columns) (ml.Classifier, error) {
 	if target < 0 || target >= len(ds.Attrs) {
 		return nil, fmt.Errorf("nbayes: target %d outside schema of %d attributes", target, len(ds.Attrs))
 	}
@@ -58,7 +51,7 @@ func (l *Learner) fitWith(ds *ml.Dataset, target int, cols *ml.Columns) (ml.Clas
 		return nil, fmt.Errorf("nbayes: empty dataset")
 	}
 	alpha := l.Alpha
-	if alpha <= 0 {
+	if !(alpha > 0 && alpha < math.Inf(1)) {
 		alpha = 1
 	}
 	classes := ds.Attrs[target].Card
@@ -74,10 +67,8 @@ func (l *Learner) fitWith(ds *ml.Dataset, target int, cols *ml.Columns) (ml.Clas
 		m.LogPrior[c] = math.Log((float64(classCounts[c]) + alpha) / (total + alpha*float64(classes)))
 	}
 
-	var tcol []int32
-	if cols != nil {
-		tcol = cols.Cols[target]
-	}
+	cols := ds.Columns()
+	tcol := cols.Cols[target]
 	for a := range ds.Attrs {
 		if a == target {
 			continue
@@ -87,14 +78,8 @@ func (l *Learner) fitWith(ds *ml.Dataset, target int, cols *ml.Columns) (ml.Clas
 		for c := range counts {
 			counts[c] = make([]int, card)
 		}
-		if cols != nil {
-			for i, v := range cols.Cols[a] {
-				counts[tcol[i]][v]++
-			}
-		} else {
-			for _, row := range ds.X {
-				counts[row[target]][row[a]]++
-			}
+		for i, v := range cols.Cols[a] {
+			counts[tcol[i]][v]++
 		}
 		tab := make([][]float64, classes)
 		for c := 0; c < classes; c++ {

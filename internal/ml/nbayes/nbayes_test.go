@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -146,6 +147,31 @@ func TestFitErrors(t *testing.T) {
 	empty := ml.NewDataset([]ml.Attr{{Name: "a", Card: 2}})
 	if _, err := NewLearner().Fit(empty, 0); err == nil {
 		t.Error("empty dataset accepted")
+	}
+}
+
+// TestOutOfRangeSettingsUseDefaults pins the documented fallback: an
+// Alpha that is not positive and finite smooths as Laplace's 1 does,
+// instead of turning every probability into NaN.
+func TestOutOfRangeSettingsUseDefaults(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 10; trial++ {
+		ds := randomDataset(rng)
+		target := rng.Intn(len(ds.Attrs))
+		want, err := NewLearner().Fit(ds, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alpha := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			got, err := (&Learner{Alpha: alpha}).Fit(ds, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: Alpha %v fitted priors %v, Laplace fits %v",
+					trial, alpha, got.(*Model).LogPrior, want.(*Model).LogPrior)
+			}
+		}
 	}
 }
 

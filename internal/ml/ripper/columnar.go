@@ -8,12 +8,13 @@ import (
 
 // Columnar rule-induction kernels: candidate evaluation, pruning and
 // recounting all reduce to AND+popcount over the dataset's posting
-// bitsets. Every count equals what the row-major reference path tallies,
-// so gains and metrics — and therefore the induced rule lists — are
-// bit-identical.
+// bitsets. Every count equals what the row-major oracle in the tests
+// tallies, so gains and metrics — and therefore the induced rule lists —
+// are bit-identical.
 
-// growRuleCols is growRule with the grow-set coverage kept as a bitset:
-// FOIL gain for a candidate (attr, val) needs only |cov ∧ posting| and
+// growRuleCols adds the condition with the best FOIL gain until the rule
+// is pure on the grow set or no condition helps. The grow-set coverage is
+// kept as a bitset: FOIL gain for a candidate (attr, val) needs only |cov ∧ posting| and
 // |pos ∧ posting|, and accepting a condition is one AND. Once the rule's
 // coverage shrinks below tallyCut the AND+popcount sweep (fixed ~card ×
 // words cost per attribute regardless of coverage) loses to walking the
@@ -182,9 +183,11 @@ func (f *fitter) ruleBits(rule *Rule) ml.Bitset {
 	return set
 }
 
-// recountCols is recount on postings: each rule's first-match coverage is
-// the still-active rows intersected with its condition postings, and class
-// histograms are popcounts against the target's posting sets.
+// recountCols rebuilds per-rule class histograms under first-match
+// semantics on the full training set, so probabilities reflect deployment
+// behaviour. Each rule's first-match coverage is the still-active rows
+// intersected with its condition postings, and class histograms are
+// popcounts against the target's posting sets.
 func (rs *RuleSet) recountCols(cols *ml.Columns) {
 	active := ml.NewFullBitset(cols.NumRows)
 	matched := ml.NewBitset(cols.NumRows)

@@ -42,9 +42,45 @@ func randomDataset(rng *rand.Rand) *ml.Dataset {
 	return ds
 }
 
-// TestColumnarDifferential pins the bitset-kernel rule induction
-// bit-identical to the naive row-major reference: same rule lists in the
-// same order, same coverage histograms, same predictions.
+// paperDataset builds a trial at the scale of the paper's audit data
+// (see the c45 differential tests for the shape): 2,000 rows of 120
+// attributes, so every posting bitset spans 32 words.
+func paperDataset(rng *rand.Rand) *ml.Dataset {
+	const rows, nAttrs = 2000, 120
+	attrs := make([]ml.Attr, nAttrs)
+	for j := range attrs {
+		card := 2 + rng.Intn(7)
+		attrs[j] = ml.Attr{
+			Name:       fmt.Sprintf("f%d", j),
+			Card:       card,
+			HasUnknown: card > 3 && rng.Intn(4) == 0,
+		}
+	}
+	ds := ml.NewDataset(attrs)
+	row := make([]int, nAttrs)
+	latent := 0
+	for i := 0; i < rows; i++ {
+		if rng.Intn(25) == 0 {
+			latent = rng.Intn(8)
+		}
+		for j, at := range attrs {
+			v := (latent + j%3) % at.Card
+			if rng.Float64() < 0.25 {
+				v = rng.Intn(at.Card)
+			}
+			row[j] = v
+		}
+		if err := ds.Add(row); err != nil {
+			panic(err)
+		}
+	}
+	return ds
+}
+
+// TestColumnarDifferential pins Fit's bitset-kernel rule induction
+// bit-identical to the row-major fitOracle: same rule lists in the same
+// order, same coverage histograms, same predictions, across randomised
+// datasets and learner settings, and at paper scale.
 func TestColumnarDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1337))
 	configs := []*Learner{
@@ -52,41 +88,48 @@ func TestColumnarDifferential(t *testing.T) {
 		{GrowFrac: 0.5, Seed: 3},
 		{GrowFrac: 2.0 / 3.0, Seed: 9, MaxConds: 2},
 		{GrowFrac: 2.0 / 3.0, Seed: 5, MaxRulesPerClass: 1},
+		{Seed: 7}, // zero GrowFrac: the 2/3 default
 	}
-	for trial := 0; trial < 40; trial++ {
-		ds := randomDataset(rng)
-		target := rng.Intn(len(ds.Attrs))
-		l := configs[trial%len(configs)]
-
-		ref, refErr := l.fitWith(ds, target, nil)
-		fast, fastErr := l.fitWith(ds, target, ds.Columns())
+	check := func(trial string, ds *ml.Dataset, target int, l *Learner) {
+		t.Helper()
+		ref, refErr := fitOracle(l, ds, target)
+		fast, fastErr := l.Fit(ds, target)
 		if (refErr == nil) != (fastErr == nil) {
-			t.Fatalf("trial %d: error mismatch: ref=%v fast=%v", trial, refErr, fastErr)
+			t.Fatalf("trial %s: error mismatch: ref=%v fast=%v", trial, refErr, fastErr)
 		}
 		if refErr != nil {
-			continue
+			return
 		}
-		refRS, fastRS := ref.(*RuleSet), fast.(*RuleSet)
-		if !reflect.DeepEqual(refRS, fastRS) {
-			t.Fatalf("trial %d (target %d, learner %+v): columnar rule set differs from reference\nref:  %+v\nfast: %+v",
-				trial, target, l, refRS, fastRS)
+		fastRS := fast.(*RuleSet)
+		if !reflect.DeepEqual(ref, fastRS) {
+			t.Fatalf("trial %s (target %d, learner %+v): Fit rule set differs from the oracle\nref:  %+v\nfast: %+v",
+				trial, target, l, ref, fastRS)
 		}
 		x := make([]int, len(ds.Attrs))
 		for probe := 0; probe < 20; probe++ {
 			for j, at := range ds.Attrs {
 				x[j] = rng.Intn(at.Card + 1)
 			}
-			if !reflect.DeepEqual(refRS.PredictProba(x), fastRS.PredictProba(x)) {
-				t.Fatalf("trial %d: prediction mismatch on %v", trial, x)
+			if !reflect.DeepEqual(ref.PredictProba(x), fastRS.PredictProba(x)) {
+				t.Fatalf("trial %s: prediction mismatch on %v", trial, x)
 			}
 		}
 	}
+	for trial := 0; trial < 40; trial++ {
+		ds := randomDataset(rng)
+		check(fmt.Sprint(trial), ds, rng.Intn(len(ds.Attrs)), configs[trial%len(configs)])
+	}
+	ds := paperDataset(rng)
+	for i, l := range configs {
+		check(fmt.Sprintf("paper/%d", i), ds, rng.Intn(len(ds.Attrs)), l)
+	}
 }
 
-// TestPruneRuleIncremental pins the incremental prefix-metric pruning
-// against a brute-force reference that rescans the prune rows for every
-// candidate prefix — the behaviour pruneRule had before the single-pass
-// rewrite.
+// TestPruneRuleIncremental pins both incremental prefix-metric prunings,
+// Fit's pruneRuleCols and the oracle's first-fail pruneRule, against a
+// brute-force reference that rescans the prune rows for every candidate
+// prefix. It is the only direct check of pruneRuleCols; the differential
+// test reaches it only through whole fits.
 func TestPruneRuleIncremental(t *testing.T) {
 	bruteMetric := func(ds *ml.Dataset, target, cls int, conds []Cond, prune []int) float64 {
 		p, n := 0, 0
@@ -153,12 +196,12 @@ func TestPruneRuleIncremental(t *testing.T) {
 		got := &Rule{Class: cls, Conds: append([]Cond(nil), conds...)}
 		pruneRule(ds, target, cls, got, prune)
 		if !reflect.DeepEqual(got.Conds, want.Conds) {
-			t.Fatalf("trial %d: incremental pruneRule diverged: got %v want %v (from %v)",
+			t.Fatalf("trial %d: oracle pruneRule diverged: got %v want %v (from %v)",
 				trial, got.Conds, want.Conds, conds)
 		}
 
-		// The columnar prefix-bitset pruning must agree as well.
-		f := newFitter(NewLearner(), ds, target, ds.Columns())
+		// Fit's prefix-bitset pruning must agree as well.
+		f := newFitter(NewLearner(), ds, target, 2.0/3.0)
 		gotCols := &Rule{Class: cls, Conds: append([]Cond(nil), conds...)}
 		f.pruneRuleCols(cls, gotCols, prune)
 		if !reflect.DeepEqual(gotCols.Conds, want.Conds) {

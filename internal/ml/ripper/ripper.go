@@ -11,7 +11,6 @@ package ripper
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"crossfeature/internal/ml"
@@ -20,7 +19,7 @@ import (
 // Learner configures rule induction.
 type Learner struct {
 	// GrowFrac is the fraction of data used for growing (the rest prunes);
-	// Cohen's default is 2/3.
+	// Cohen's default is 2/3, which a value outside (0, 1) takes.
 	GrowFrac float64
 	// MaxConds caps conditions per rule; 0 means unbounded.
 	MaxConds int
@@ -80,14 +79,6 @@ var (
 // comes from AND+popcount of the rule-coverage bitset with posting
 // bitsets, and pruning evaluates all condition prefixes incrementally.
 func (l *Learner) Fit(ds *ml.Dataset, target int) (ml.Classifier, error) {
-	return l.fitWith(ds, target, ds.Columns())
-}
-
-// fitWith induces the rule list with the columnar kernels when cols is
-// non-nil, or with the naive row-major reference path otherwise. The two
-// paths are pinned bit-identical by differential tests (the grow/prune
-// shuffle consumes the seeded rng identically in both).
-func (l *Learner) fitWith(ds *ml.Dataset, target int, cols *ml.Columns) (ml.Classifier, error) {
 	if target < 0 || target >= len(ds.Attrs) {
 		return nil, fmt.Errorf("ripper: target %d outside schema of %d attributes", target, len(ds.Attrs))
 	}
@@ -95,12 +86,12 @@ func (l *Learner) fitWith(ds *ml.Dataset, target int, cols *ml.Columns) (ml.Clas
 		return nil, fmt.Errorf("ripper: empty dataset")
 	}
 	growFrac := l.GrowFrac
-	if growFrac <= 0 || growFrac >= 1 {
+	if !(growFrac > 0 && growFrac < 1) {
 		growFrac = 2.0 / 3.0
 	}
 	classes := ds.Attrs[target].Card
 	rs := &RuleSet{Target: target, Classes: classes}
-	f := newFitter(l, ds, target, cols)
+	f := newFitter(l, ds, target, growFrac)
 
 	// Order classes by ascending frequency; the most frequent is default.
 	counts := ds.ClassCounts(target)
@@ -147,24 +138,19 @@ func (l *Learner) fitWith(ds *ml.Dataset, target int, cols *ml.Columns) (ml.Clas
 
 	// Final pass: refresh every rule's coverage histogram against the full
 	// ordered list semantics (first-match) on the whole training set.
-	if cols != nil {
-		rs.recountCols(cols)
-	} else {
-		rs.recount(ds)
-	}
+	rs.recountCols(f.cols)
 	return rs, nil
 }
 
-// fitter carries one fit's context and (for the columnar path) its reused
-// bitset scratch. Each induction step dispatches to the columnar kernel
-// when cols is non-nil and to the naive reference function otherwise.
+// fitter carries one fit's context and its reused bitset scratch.
 type fitter struct {
-	l      *Learner
-	ds     *ml.Dataset
-	target int
-	cols   *ml.Columns
+	l        *Learner
+	ds       *ml.Dataset
+	target   int
+	growFrac float64
+	cols     *ml.Columns
 	// cov/pos hold the grow-set rule coverage and its positive subset
-	// during growRule; set/tmp serve pruning, coverage and filtering.
+	// during growRuleCols; set/tmp serve pruning, coverage and filtering.
 	cov, pos, set, tmp ml.Bitset
 	// tcol is the target column; tallyCut is the coverage size below which
 	// growRuleCols switches from popcount kernels to row tallies (the
@@ -177,94 +163,67 @@ type fitter struct {
 	fixed  []bool
 }
 
-func newFitter(l *Learner, ds *ml.Dataset, target int, cols *ml.Columns) *fitter {
-	f := &fitter{l: l, ds: ds, target: target, cols: cols}
-	if cols != nil {
-		f.cov = ml.NewBitset(cols.NumRows)
-		f.pos = ml.NewBitset(cols.NumRows)
-		f.set = ml.NewBitset(cols.NumRows)
-		f.tmp = ml.NewBitset(cols.NumRows)
-		f.tcol = cols.Cols[target]
-		maxCard, totalCard := 1, 0
-		for _, at := range ds.Attrs {
-			totalCard += at.Card
-			if at.Card > maxCard {
-				maxCard = at.Card
-			}
+func newFitter(l *Learner, ds *ml.Dataset, target int, growFrac float64) *fitter {
+	cols := ds.Columns()
+	maxCard, totalCard := 1, 0
+	for _, at := range ds.Attrs {
+		totalCard += at.Card
+		if at.Card > maxCard {
+			maxCard = at.Card
 		}
-		words := (cols.NumRows + 63) / 64
-		f.tallyCut = totalCard / len(ds.Attrs) * words
-		f.rowBuf = make([]int, 0, cols.NumRows)
-		f.pv = make([]int, maxCard)
-		f.nv = make([]int, maxCard)
-		f.fixed = make([]bool, len(ds.Attrs))
 	}
-	return f
-}
-
-func (f *fitter) growRule(cls int, grow []int) *Rule {
-	if f.cols != nil {
-		return f.growRuleCols(cls, grow)
+	words := (cols.NumRows + 63) / 64
+	return &fitter{
+		l:        l,
+		ds:       ds,
+		target:   target,
+		growFrac: growFrac,
+		cols:     cols,
+		cov:      ml.NewBitset(cols.NumRows),
+		pos:      ml.NewBitset(cols.NumRows),
+		set:      ml.NewBitset(cols.NumRows),
+		tmp:      ml.NewBitset(cols.NumRows),
+		tcol:     cols.Cols[target],
+		tallyCut: totalCard / len(ds.Attrs) * words,
+		rowBuf:   make([]int, 0, cols.NumRows),
+		pv:       make([]int, maxCard),
+		nv:       make([]int, maxCard),
+		fixed:    make([]bool, len(ds.Attrs)),
 	}
-	return f.l.growRule(f.ds, f.target, cls, grow)
-}
-
-func (f *fitter) pruneRule(cls int, rule *Rule, prune []int) {
-	if f.cols != nil {
-		f.pruneRuleCols(cls, rule, prune)
-		return
-	}
-	pruneRule(f.ds, f.target, cls, rule, prune)
-}
-
-func (f *fitter) coverage(cls int, rule *Rule, rows []int) (p, n int) {
-	if f.cols != nil {
-		return f.coverageCols(cls, rule, rows)
-	}
-	return coverage(f.ds, f.target, cls, rule, rows)
 }
 
 // coverClass induces rules for cls until the positives among remaining are
 // covered or rule quality degrades; it returns the uncovered instances.
 func (f *fitter) coverClass(cls int, remaining []int, rs *RuleSet, rng *rand.Rand) []int {
-	l, ds, target := f.l, f.ds, f.target
 	added := 0
 	for {
 		pos := 0
-		if f.tcol != nil {
-			for _, i := range remaining {
-				if int(f.tcol[i]) == cls {
-					pos++
-				}
-			}
-		} else {
-			for _, i := range remaining {
-				if ds.X[i][target] == cls {
-					pos++
-				}
+		for _, i := range remaining {
+			if int(f.tcol[i]) == cls {
+				pos++
 			}
 		}
 		if pos == 0 {
 			return remaining
 		}
-		if l.MaxRulesPerClass > 0 && added >= l.MaxRulesPerClass {
+		if f.l.MaxRulesPerClass > 0 && added >= f.l.MaxRulesPerClass {
 			return remaining
 		}
-		grow, prune := split(remaining, l.GrowFrac, rng)
-		rule := f.growRule(cls, grow)
+		grow, prune := split(remaining, f.growFrac, rng)
+		rule := f.growRuleCols(cls, grow)
 		if rule == nil {
 			return remaining
 		}
-		f.pruneRule(cls, rule, prune)
+		f.pruneRuleCols(cls, rule, prune)
 		// Accept only if the rule is better than chance on the prune set
 		// (Cohen's stopping criterion: error rate <= 50%).
-		p, n := f.coverage(cls, rule, prune)
+		p, n := f.coverageCols(cls, rule, prune)
 		if p+n > 0 && float64(n)/float64(p+n) > 0.5 {
 			return remaining
 		}
 		if p+n == 0 {
 			// No prune data matched; fall back to the grow set estimate.
-			gp, gn := f.coverage(cls, rule, grow)
+			gp, gn := f.coverageCols(cls, rule, grow)
 			if gp == 0 || float64(gn)/float64(gp+gn) > 0.5 {
 				return remaining
 			}
@@ -273,18 +232,10 @@ func (f *fitter) coverClass(cls int, remaining []int, rs *RuleSet, rng *rand.Ran
 		added++
 		// Remove covered instances from remaining.
 		out := remaining[:0]
-		if f.cols != nil {
-			rb := f.ruleBits(rule)
-			for _, i := range remaining {
-				if !rb.Contains(i) {
-					out = append(out, i)
-				}
-			}
-		} else {
-			for _, i := range remaining {
-				if !rule.Matches(ds.X[i]) {
-					out = append(out, i)
-				}
+		rb := f.ruleBits(rule)
+		for _, i := range remaining {
+			if !rb.Contains(i) {
+				out = append(out, i)
 			}
 		}
 		if len(out) == len(remaining) {
@@ -294,139 +245,10 @@ func (f *fitter) coverClass(cls int, remaining []int, rs *RuleSet, rng *rand.Ran
 	}
 }
 
-// growRule adds the condition with the best FOIL gain until the rule is
-// pure on the grow set or no condition helps.
-func (l *Learner) growRule(ds *ml.Dataset, target, cls int, grow []int) *Rule {
-	rule := &Rule{Class: cls}
-	covered := append([]int(nil), grow...)
-	for {
-		p0, n0 := 0, 0
-		for _, i := range covered {
-			if ds.X[i][target] == cls {
-				p0++
-			} else {
-				n0++
-			}
-		}
-		if p0 == 0 {
-			return nil
-		}
-		if n0 == 0 {
-			break // pure
-		}
-		if l.MaxConds > 0 && len(rule.Conds) >= l.MaxConds {
-			break
-		}
-		bestGain := 0.0
-		var best Cond
-		found := false
-		base := math.Log2(float64(p0) / float64(p0+n0))
-		// Candidate conditions: every (attr,value) not already fixed.
-		fixed := make(map[int]bool, len(rule.Conds))
-		for _, c := range rule.Conds {
-			fixed[c.Attr] = true
-		}
-		for a := range ds.Attrs {
-			if a == target || fixed[a] || ds.Attrs[a].Card < 2 {
-				continue
-			}
-			// Count p,n per value of a in one pass.
-			card := ds.Attrs[a].Card
-			pv := make([]int, card)
-			nv := make([]int, card)
-			for _, i := range covered {
-				v := ds.X[i][a]
-				if ds.X[i][target] == cls {
-					pv[v]++
-				} else {
-					nv[v]++
-				}
-			}
-			for v := 0; v < card; v++ {
-				p, n := pv[v], nv[v]
-				if p == 0 {
-					continue
-				}
-				gain := float64(p) * (math.Log2(float64(p)/float64(p+n)) - base)
-				if gain > bestGain+1e-12 {
-					bestGain = gain
-					best = Cond{Attr: a, Val: v}
-					found = true
-				}
-			}
-		}
-		if !found {
-			break
-		}
-		rule.Conds = append(rule.Conds, best)
-		out := covered[:0]
-		for _, i := range covered {
-			if ds.X[i][best.Attr] == best.Val {
-				out = append(out, i)
-			}
-		}
-		covered = out
-	}
-	if len(rule.Conds) == 0 {
-		return nil
-	}
-	return rule
-}
-
-// pruneRule greedily deletes trailing conditions while the pruning metric
-// v = (p - n) / (p + n) on the prune set does not decrease. Every prefix's
-// metric comes from one pass over the prune rows — each row's first
-// failing condition index is histogrammed, and prefix coverage falls out
-// as suffix sums — instead of a full rescan per candidate prefix, which
-// was quadratic in conditions × prune rows.
-func pruneRule(ds *ml.Dataset, target, cls int, rule *Rule, prune []int) {
-	k := len(rule.Conds)
-	if len(prune) == 0 || k <= 1 {
-		return
-	}
-	// A row matches the prefix Conds[:j] iff its first failing condition
-	// index is >= j (k means the row matches the whole rule).
-	posAt := make([]int, k+1)
-	negAt := make([]int, k+1)
-	for _, i := range prune {
-		x := ds.X[i]
-		fail := k
-		for j, c := range rule.Conds {
-			if x[c.Attr] != c.Val {
-				fail = j
-				break
-			}
-		}
-		if x[target] == cls {
-			posAt[fail]++
-		} else {
-			negAt[fail]++
-		}
-	}
-	metric := prefixMetrics(posAt, negAt)
-	trimByMetric(rule, metric)
-}
-
-// prefixMetrics converts first-fail histograms into the pruning metric of
-// every condition prefix: metric[j] is (p-n)/(p+n) over the rows matching
-// Conds[:j], or -Inf when none do.
-func prefixMetrics(posAt, negAt []int) []float64 {
-	metric := make([]float64, len(posAt))
-	p, n := 0, 0
-	for j := len(posAt) - 1; j >= 0; j-- {
-		p += posAt[j]
-		n += negAt[j]
-		if p+n == 0 {
-			metric[j] = math.Inf(-1)
-		} else {
-			metric[j] = float64(p-n) / float64(p+n)
-		}
-	}
-	return metric
-}
-
-// trimByMetric applies the greedy trailing-condition deletion given the
-// precomputed per-prefix metrics.
+// trimByMetric greedily deletes trailing conditions while the pruning
+// metric v = (p - n) / (p + n) on the prune set does not decrease.
+// metric[j] is v over the prune rows matching Conds[:j], or -Inf when none
+// do.
 func trimByMetric(rule *Rule, metric []float64) {
 	for len(rule.Conds) > 1 {
 		k := len(rule.Conds)
@@ -438,21 +260,6 @@ func trimByMetric(rule *Rule, metric []float64) {
 	}
 }
 
-// coverage counts positives and negatives the rule matches within rows.
-func coverage(ds *ml.Dataset, target, cls int, rule *Rule, rows []int) (p, n int) {
-	for _, i := range rows {
-		if !rule.Matches(ds.X[i]) {
-			continue
-		}
-		if ds.X[i][target] == cls {
-			p++
-		} else {
-			n++
-		}
-	}
-	return p, n
-}
-
 // split partitions rows into grow and prune subsets after a shuffle.
 func split(rows []int, growFrac float64, rng *rand.Rand) (grow, prune []int) {
 	shuffled := append([]int(nil), rows...)
@@ -462,39 +269,6 @@ func split(rows []int, growFrac float64, rng *rand.Rand) (grow, prune []int) {
 		cut = len(shuffled)
 	}
 	return shuffled[:cut], shuffled[cut:]
-}
-
-// recount rebuilds per-rule class histograms under first-match semantics on
-// the full training set, so probabilities reflect deployment behaviour.
-func (rs *RuleSet) recount(ds *ml.Dataset) {
-	for r := range rs.Rules {
-		rs.Rules[r].Counts = make([]int, rs.Classes)
-	}
-	def := make([]int, rs.Classes)
-	for _, x := range ds.X {
-		cls := x[rs.Target]
-		hit := false
-		for r := range rs.Rules {
-			if rs.Rules[r].Matches(x) {
-				rs.Rules[r].Counts[cls]++
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			def[cls]++
-		}
-	}
-	empty := true
-	for _, c := range def {
-		if c > 0 {
-			empty = false
-			break
-		}
-	}
-	if !empty {
-		rs.Default = def
-	}
 }
 
 // PredictProba implements ml.Classifier: the first matching rule's

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -212,6 +213,34 @@ func TestFitErrors(t *testing.T) {
 	empty := ml.NewDataset([]ml.Attr{{Name: "a", Card: 2}})
 	if _, err := NewLearner().Fit(empty, 0); err == nil {
 		t.Error("empty dataset accepted")
+	}
+}
+
+// TestOutOfRangeSettingsUseDefaults pins the documented fallback: a
+// GrowFrac outside (0, 1), NaN and the infinities included, splits as
+// Cohen's default 2/3 does, instead of growing unpruned rules on all rows
+// (0, 1) or cutting past the end of the rows (1.5).
+func TestOutOfRangeSettingsUseDefaults(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	fracs := []float64{0, -0.5, 1, 1.5, math.NaN(), math.Inf(1), math.Inf(-1)}
+	for trial := 0; trial < 20; trial++ {
+		ds := randomDataset(rng)
+		target := rng.Intn(len(ds.Attrs))
+		want, err := NewLearner().Fit(ds, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, frac := range fracs {
+			l := &Learner{GrowFrac: frac, Seed: 1}
+			got, err := l.Fit(ds, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: GrowFrac %v learned %d rules, the default learns %d",
+					trial, frac, got.(*RuleSet).NumRules(), want.(*RuleSet).NumRules())
+			}
+		}
 	}
 }
 

@@ -19,35 +19,16 @@ func MetricsHandler(reg *Registry) http.Handler {
 	})
 }
 
-// TracezHandler serves the tracer's timing tree as plain text; nil tracers
-// render an explanatory placeholder.
-func TracezHandler(tr *Tracer) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if tr == nil {
-			fmt.Fprintln(w, "(no tracer attached)")
-			return
-		}
-		if r.URL.Query().Get("format") == "chrome" {
-			w.Header().Set("Content-Type", "application/json")
-			tr.WriteChromeTrace(w)
-			return
-		}
-		tr.WriteTree(w)
-	})
-}
-
-// DebugMux builds the debug surface: /metrics, /tracez and the full
+// DebugMux builds the debug surface: /metrics and the full
 // net/http/pprof suite under /debug/pprof/. It is meant for a separate
 // opt-in listener, never the serving port: pprof handlers can be made to
 // do unbounded work, so they must not share the admission-controlled
 // public surface.
-func DebugMux(reg *Registry, tr *Tracer) *http.ServeMux {
+func DebugMux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	if reg != nil {
 		mux.Handle("/metrics", MetricsHandler(reg))
 	}
-	mux.Handle("/tracez", TracezHandler(tr))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -57,21 +38,15 @@ func DebugMux(reg *Registry, tr *Tracer) *http.ServeMux {
 }
 
 // ProfileServer is the opt-in debug listener. Construct with
-// StartProfileServer, stop with Close.
+// StartDebugServer, stop with Close.
 type ProfileServer struct {
 	ln  net.Listener
 	srv *http.Server
 }
 
-// StartProfileServer binds addr and serves DebugMux(reg, tr) in the
-// background. reg and tr may each be nil.
-func StartProfileServer(addr string, reg *Registry, tr *Tracer) (*ProfileServer, error) {
-	return StartDebugServer(addr, DebugMux(reg, tr))
-}
-
-// StartDebugServer binds addr and serves mux in the background — the
-// escape hatch for callers that compose extra handlers (failpoint
-// control, custom dumps) onto a DebugMux before starting it.
+// StartDebugServer binds addr and serves mux in the background. Callers
+// compose extra handlers (failpoint control, custom dumps) onto a
+// DebugMux before starting it.
 func StartDebugServer(addr string, mux http.Handler) (*ProfileServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

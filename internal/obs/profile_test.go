@@ -8,17 +8,13 @@ import (
 )
 
 // TestProfileServer boots the debug listener on an ephemeral port and
-// scrapes every surface: /metrics must be well-formed exposition text,
-// /tracez must render the span tree, and /debug/pprof/heap must return a
-// non-empty profile.
+// scrapes every surface: /metrics must be well-formed exposition text and
+// /debug/pprof/heap must return a non-empty profile.
 func TestProfileServer(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("smoke_total", "smoke").Add(7)
-	tr := NewTracer()
-	s := tr.Start("stage")
-	s.End()
 
-	p, err := StartProfileServer("127.0.0.1:0", reg, tr)
+	p, err := StartDebugServer("127.0.0.1:0", DebugMux(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,16 +43,6 @@ func TestProfileServer(t *testing.T) {
 		t.Errorf("/metrics content type = %q", ctype)
 	}
 
-	code, body, _ = get("/tracez")
-	if code != http.StatusOK || !strings.Contains(body, "stage") {
-		t.Errorf("/tracez = %d %q", code, body)
-	}
-
-	code, body, _ = get("/tracez?format=chrome")
-	if code != http.StatusOK || !strings.Contains(body, `"ph":"X"`) {
-		t.Errorf("/tracez?format=chrome = %d %q", code, body)
-	}
-
 	code, body, _ = get("/debug/pprof/heap?debug=1")
 	if code != http.StatusOK || len(body) == 0 || !strings.Contains(body, "heap") {
 		t.Errorf("/debug/pprof/heap = %d (%d bytes)", code, len(body))
@@ -65,22 +51,5 @@ func TestProfileServer(t *testing.T) {
 	code, _, _ = get("/debug/pprof/")
 	if code != http.StatusOK {
 		t.Errorf("/debug/pprof/ index = %d", code)
-	}
-}
-
-func TestTracezNilTracer(t *testing.T) {
-	p, err := StartProfileServer("127.0.0.1:0", NewRegistry(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	resp, err := http.Get("http://" + p.Addr().String() + "/tracez")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), "no tracer") {
-		t.Errorf("nil tracer body = %q", body)
 	}
 }

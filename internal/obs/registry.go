@@ -1,8 +1,8 @@
 // Package obs is the repo's unified observability layer: a zero-dependency
 // metrics registry (counters, gauges, fixed-bucket histograms) with a
 // Prometheus text-format encoder, lightweight span tracing for pipeline
-// stage timings, and an opt-in debug HTTP surface exposing /metrics,
-// /tracez and net/http/pprof.
+// stage timings, and an opt-in debug HTTP surface exposing /metrics and
+// net/http/pprof.
 //
 // Design rules:
 //

@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -16,18 +14,15 @@ import (
 // free; put them around stages, not around per-event hot paths.
 type Tracer struct {
 	mu    sync.Mutex
-	epoch time.Time
 	roots []*Span
 
 	// now is injectable for deterministic tests; defaults to time.Now.
 	now func() time.Time
 }
 
-// NewTracer returns an empty tracer whose epoch is its creation time.
+// NewTracer returns an empty tracer.
 func NewTracer() *Tracer {
-	t := &Tracer{now: time.Now}
-	t.epoch = t.now()
-	return t
+	return &Tracer{now: time.Now}
 }
 
 // Start opens a top-level span.
@@ -151,47 +146,6 @@ func writeSpanTree(sb *strings.Builder, s *Span, depth int) {
 		float64(s.CPU().Microseconds())/1000, open)
 	for _, c := range s.Children() {
 		writeSpanTree(sb, c, depth+1)
-	}
-}
-
-// chromeEvent is one Chrome trace_event entry ("X" complete events), the
-// JSON format chrome://tracing and Perfetto load directly.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   int64          `json:"ts"`  // microseconds since tracer epoch
-	Dur  int64          `json:"dur"` // microseconds
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// WriteChromeTrace dumps every finished span as a Chrome trace_event JSON
-// array. Spans still open are emitted with their duration so far.
-// Top-level spans get distinct tids so concurrent stages render on
-// separate rows.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	var events []chromeEvent
-	for i, root := range t.Roots() {
-		collectChrome(&events, root, t.epoch, i+1)
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Ts < events[j].Ts })
-	enc := json.NewEncoder(w)
-	return enc.Encode(events)
-}
-
-func collectChrome(out *[]chromeEvent, s *Span, epoch time.Time, tid int) {
-	*out = append(*out, chromeEvent{
-		Name: s.name,
-		Ph:   "X",
-		Ts:   s.start.Sub(epoch).Microseconds(),
-		Dur:  s.Wall().Microseconds(),
-		Pid:  1,
-		Tid:  tid,
-		Args: map[string]any{"cpu_ms": float64(s.CPU().Microseconds()) / 1000},
-	})
-	for _, c := range s.Children() {
-		collectChrome(out, c, epoch, tid)
 	}
 }
 

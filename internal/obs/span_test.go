@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -17,9 +16,7 @@ func (c *fakeClock) advance(d time.Duration) {
 
 func newFakeTracer() (*Tracer, *fakeClock) {
 	c := &fakeClock{t: time.Unix(1000, 0)}
-	tr := &Tracer{now: c.now}
-	tr.epoch = c.t
-	return tr, c
+	return &Tracer{now: c.now}, c
 }
 
 func TestSpanNesting(t *testing.T) {
@@ -80,37 +77,6 @@ func TestWriteTreeEmpty(t *testing.T) {
 	tr.WriteTree(&sb)
 	if !strings.Contains(sb.String(), "no spans") {
 		t.Errorf("empty tree output = %q", sb.String())
-	}
-}
-
-func TestChromeTrace(t *testing.T) {
-	tr, clk := newFakeTracer()
-	a := tr.Start("alpha")
-	clk.advance(3 * time.Millisecond)
-	b := a.Start("beta")
-	clk.advance(2 * time.Millisecond)
-	b.End()
-	a.End()
-
-	var sb strings.Builder
-	if err := tr.WriteChromeTrace(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &events); err != nil {
-		t.Fatalf("chrome trace is not valid JSON: %v\n%s", err, sb.String())
-	}
-	if len(events) != 2 {
-		t.Fatalf("events = %d, want 2", len(events))
-	}
-	if events[0]["name"] != "alpha" || events[0]["ph"] != "X" {
-		t.Errorf("first event = %v", events[0])
-	}
-	if events[1]["name"] != "beta" || events[1]["ts"].(float64) != 3000 {
-		t.Errorf("second event = %v (want ts 3000us)", events[1])
-	}
-	if events[0]["dur"].(float64) != 5000 {
-		t.Errorf("alpha dur = %v, want 5000us", events[0]["dur"])
 	}
 }
 
