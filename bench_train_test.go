@@ -1,8 +1,10 @@
 // Training-path benchmarks: learner Fit and Algorithm 1 (core.Train) on a
 // synthetic dataset shaped like the paper's full-scale audit traces (140
 // features, 2000 sampled records, latent-regime correlations). These run
-// without a simulation so `make bench-train` isolates the count-kernel
-// cost the columnar dataset layout optimises.
+// without a simulation so `make bench-train` isolates the learners' count
+// kernels: C4.5's one-pass row-major split tallies, RIPPER's posting
+// popcounts and row tallies, and Naive Bayes' column tallies, plus the
+// log2 tables the C4.5 and RIPPER gains read.
 package crossfeature_test
 
 import (

@@ -258,11 +258,14 @@ func (a *Analyzer) ScoreAll(ds *ml.Dataset, s Scorer) []float64 {
 	}
 	out := make([]float64, ds.Len())
 	c := a.compiled()
-	if len(out) < batchKernelMin || c.batch == nil || len(ds.Attrs) != len(a.Attrs) || ds.Validate() != nil {
+	var cols *ml.Columns
+	if len(out) >= batchKernelMin && c.batch != nil && len(ds.Attrs) == len(a.Attrs) {
+		cols, _ = ds.Columns() // nil when the rows violate the schema
+	}
+	if cols == nil {
 		a.scoreRows(c, ds.X, s, out)
 		return out
 	}
-	cols := ds.Columns()
 	levels := a.NormalProb
 	if s == MatchCount {
 		levels = a.NormalMatch

@@ -96,10 +96,12 @@ func Train(ds *ml.Dataset, learner ml.Learner, opts TrainOptions) (*Analyzer, er
 	if learner == nil {
 		return nil, fmt.Errorf("core: nil learner")
 	}
-	// Dataset.X is exported, so rows may not have passed Add's checks; the
-	// column view and every learner index tables by value and would panic
-	// on a short row or an out-of-range value.
-	if err := ds.Validate(); err != nil {
+	// Dataset.X is exported, so rows may not have passed Add's checks. The
+	// column view's build validates them, and building it before fanning
+	// out means all L sub-model fits share this one build and one check
+	// instead of the first worker building it while the rest block on the
+	// cache mutex.
+	if _, err := ds.Columns(); err != nil {
 		return nil, fmt.Errorf("core: invalid training set: %w", err)
 	}
 	l := len(ds.Attrs)
@@ -115,12 +117,6 @@ func Train(ds *ml.Dataset, learner ml.Learner, opts TrainOptions) (*Analyzer, er
 	if workers > l {
 		workers = l
 	}
-
-	// Pre-build the dataset's column-major view before fanning out: all L
-	// sub-model fits run their count kernels on this one shared read-only
-	// structure, so constructing it up front keeps the first worker from
-	// building it while the rest block on the cache mutex.
-	ds.Columns()
 
 	targets := make(chan int)
 	errs := make([]error, l)

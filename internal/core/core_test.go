@@ -139,21 +139,47 @@ func TestTrainErrors(t *testing.T) {
 	}
 }
 
-// TestTrainRejectsMalformedRows pins that rows written straight into the
-// exported Dataset.X, bypassing Add's checks, come back as an error from
-// Train instead of panicking inside the column view or a learner.
+// malformedRows writes rows straight into the exported Dataset.X,
+// bypassing Add's checks, in each shape Validate rejects.
+var malformedRows = map[string]func(ds *ml.Dataset){
+	"out-of-range value": func(ds *ml.Dataset) { ds.X[5][1] = 5 },
+	"short row":          func(ds *ml.Dataset) { ds.X[5] = ds.X[5][:2] },
+	"negative value":     func(ds *ml.Dataset) { ds.X[5][0] = -1 },
+}
+
+// TestTrainRejectsMalformedRows pins that malformed rows come back as an
+// error from Train instead of panicking inside the column view or a
+// learner.
 func TestTrainRejectsMalformedRows(t *testing.T) {
-	for name, corrupt := range map[string]func(ds *ml.Dataset){
-		"out-of-range value": func(ds *ml.Dataset) { ds.X[5][1] = 5 },
-		"short row":          func(ds *ml.Dataset) { ds.X[5] = ds.X[5][:2] },
-		"negative value":     func(ds *ml.Dataset) { ds.X[5][0] = -1 },
-	} {
+	for name, corrupt := range malformedRows {
 		for _, learner := range []ml.Learner{c45.NewLearner(), ripper.NewLearner(), nbayes.NewLearner()} {
 			ds := correlatedDataset(t, 50, 2)
 			corrupt(ds)
 			if _, err := Train(ds, learner, TrainOptions{}); err == nil {
 				t.Errorf("%s: %s accepted", learner.Name(), name)
 			}
+		}
+	}
+}
+
+// TestFitRejectsMalformedRows pins the same for each learner's own Fit,
+// which callers reach without Train: an error, not a panic, and not a
+// count silently tallied into a neighbouring attribute's cells.
+func TestFitRejectsMalformedRows(t *testing.T) {
+	for name, corrupt := range malformedRows {
+		for _, learner := range []ml.Learner{c45.NewLearner(), ripper.NewLearner(), nbayes.NewLearner()} {
+			ds := correlatedDataset(t, 50, 2)
+			corrupt(ds)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s: %s panicked: %v", learner.Name(), name, r)
+					}
+				}()
+				if _, err := learner.Fit(ds, 0); err == nil {
+					t.Errorf("%s: %s accepted", learner.Name(), name)
+				}
+			}()
 		}
 	}
 }

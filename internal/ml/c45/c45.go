@@ -66,10 +66,11 @@ var (
 	_ ml.IntoProber = (*Tree)(nil)
 )
 
-// Fit implements ml.Learner. Tree growth runs on the dataset's shared
-// column-major view: every candidate attribute's contingency counts for a
-// node come from one pass over the node's rows, and child partitions reuse
-// the winning attribute's histogram instead of re-tallying.
+// Fit implements ml.Learner. Every candidate attribute's contingency
+// counts for a node come from one pass over the node's rows, and child
+// partitions reuse the winning attribute's histogram instead of
+// re-tallying. Rows written straight into ds.X that break the schema are
+// an error.
 func (l *Learner) Fit(ds *ml.Dataset, target int) (ml.Classifier, error) {
 	if target < 0 || target >= len(ds.Attrs) {
 		return nil, fmt.Errorf("c45: target %d outside schema of %d attributes", target, len(ds.Attrs))
@@ -85,7 +86,10 @@ func (l *Learner) Fit(ds *ml.Dataset, target int) (ml.Classifier, error) {
 	if !(cf > 0 && cf < 1) {
 		cf = 0.25
 	}
-	b := newBuilder(ds, target, minLeaf, l.MaxDepth)
+	b, err := newBuilder(ds, target, minLeaf, l.MaxDepth)
+	if err != nil {
+		return nil, fmt.Errorf("c45: %w", err)
+	}
 	rows := make([]int, ds.Len())
 	for i := range rows {
 		rows[i] = i

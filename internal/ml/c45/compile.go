@@ -138,7 +138,10 @@ func (c *Compiled) TrueScore(x []int, v int, _ []float64) (p float64, match bool
 // node, exactly the scalar descent's fallback, and every node answers
 // for its stopped rows from the precomputed slab.
 func (c *Compiled) TrueScoreAll(ds *ml.Dataset, target int, p []float64, match []bool) {
-	cols := ds.Columns()
+	cols, err := ds.Columns()
+	if err != nil {
+		panic("c45: TrueScoreAll on rows outside the schema: " + err.Error())
+	}
 	n := cols.NumRows
 	if len(c.nodes) == 0 {
 		for i := 0; i < n; i++ {

@@ -142,7 +142,9 @@ func (o *oracle) bestSplit(rows []int, used []bool, parentCounts []int) (int, bo
 			nonEmpty++
 			p := float64(sizes[v]) / total
 			condH += p * ml.Entropy(sub[v])
-			splitH -= p * math.Log2(p)
+			// Rounded before the subtraction, as ml.Entropy rounds its
+			// terms: Fit reads this product from the log2 tables.
+			splitH -= float64(p * math.Log2(p))
 		}
 		if nonEmpty < 2 {
 			continue

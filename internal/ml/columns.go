@@ -1,12 +1,11 @@
 package ml
 
 // Columns is a read-only column-major view of a Dataset: one contiguous
-// []int32 per attribute plus per-(attribute,value) posting bitsets. The
-// three base learners' count kernels run on this layout — contingency
-// tallies walk one cache-friendly column instead of hopping across
-// row-major [][]int, and RIPPER's candidate evaluation reduces to
-// AND+popcount over posting sets. A view is immutable once built and is
-// shared across the L concurrent Fit calls of core.Train.
+// []int32 per attribute plus per-(attribute,value) posting bitsets.
+// Naive Bayes tallies walk one cache-friendly column at a time, C4.5
+// reads its target column here, and RIPPER's candidate evaluation
+// reduces to AND+popcount over posting sets. A view is immutable once
+// built and is shared across the L concurrent Fit calls of core.Train.
 type Columns struct {
 	// NumRows is the row count the view was built from; a dataset grown
 	// afterwards gets a fresh view on the next Columns call.
@@ -22,14 +21,23 @@ type Columns struct {
 // single construction; callers must treat both the dataset rows and the
 // returned view as read-only while they hold it. Mutating the dataset
 // through Add/AddOwned invalidates the cached view.
-func (d *Dataset) Columns() *Columns {
+//
+// The build first runs Validate and returns its error, with no view, for
+// rows written straight into X that break the schema. Every learner's Fit
+// goes through here, so such rows are an error rather than a panic or a
+// tally in the wrong cell, and the check runs once per view, not once per
+// fit.
+func (d *Dataset) Columns() (*Columns, error) {
 	d.colMu.Lock()
 	defer d.colMu.Unlock()
 	if d.colView != nil && d.colView.NumRows == len(d.X) {
-		return d.colView
+		return d.colView, nil
+	}
+	if err := d.Validate(); err != nil {
+		return nil, err
 	}
 	d.colView = buildColumns(d)
-	return d.colView
+	return d.colView, nil
 }
 
 // invalidateColumns drops the cached view after a mutation.

@@ -33,7 +33,7 @@ func testDataset(t *testing.T, rows int) *Dataset {
 func TestColumnsMatchesRows(t *testing.T) {
 	for _, rows := range []int{0, 1, 63, 64, 65, 200} {
 		ds := testDataset(t, rows)
-		cols := ds.Columns()
+		cols := mustColumns(t, ds)
 		if cols.NumRows != rows {
 			t.Fatalf("rows=%d: NumRows=%d", rows, cols.NumRows)
 		}
@@ -65,18 +65,53 @@ func TestColumnsMatchesRows(t *testing.T) {
 	}
 }
 
+func mustColumns(t *testing.T, ds *Dataset) *Columns {
+	t.Helper()
+	cols, err := ds.Columns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cols
+}
+
+// TestColumnsRejectsMalformedRows pins that rows written straight into
+// the exported X, bypassing Add's checks, get Validate's error and no
+// view, and that a repaired dataset builds one.
+func TestColumnsRejectsMalformedRows(t *testing.T) {
+	for name, corrupt := range map[string]func(ds *Dataset){
+		"out-of-range value": func(ds *Dataset) { ds.X[5][1] = 5 },
+		"short row":          func(ds *Dataset) { ds.X[5] = ds.X[5][:2] },
+		"negative value":     func(ds *Dataset) { ds.X[5][0] = -1 },
+	} {
+		ds := testDataset(t, 20)
+		good := append([]int(nil), ds.X[5]...)
+		corrupt(ds)
+		want := ds.Validate()
+		if want == nil {
+			t.Fatalf("%s: Validate accepted the row", name)
+		}
+		if cols, err := ds.Columns(); cols != nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: Columns = (%v, %v), want no view and %q", name, cols, err, want)
+		}
+		ds.X[5] = good
+		if cols, err := ds.Columns(); cols == nil || err != nil {
+			t.Errorf("%s: repaired dataset: Columns = (%v, %v)", name, cols, err)
+		}
+	}
+}
+
 // TestColumnsCachedAndInvalidated checks the view is built once, shared,
 // and rebuilt after a mutation through Add/AddOwned.
 func TestColumnsCachedAndInvalidated(t *testing.T) {
 	ds := testDataset(t, 50)
-	c1 := ds.Columns()
-	if c2 := ds.Columns(); c2 != c1 {
+	c1 := mustColumns(t, ds)
+	if c2 := mustColumns(t, ds); c2 != c1 {
 		t.Fatal("second Columns call did not return the cached view")
 	}
 	if err := ds.Add([]int{1, 1, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	c3 := ds.Columns()
+	c3 := mustColumns(t, ds)
 	if c3 == c1 {
 		t.Fatal("Columns view not rebuilt after Add")
 	}
@@ -86,7 +121,7 @@ func TestColumnsCachedAndInvalidated(t *testing.T) {
 	if err := ds.AddOwned([]int{2, 2, 0, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if c4 := ds.Columns(); c4 == c3 || c4.NumRows != 52 {
+	if c4 := mustColumns(t, ds); c4 == c3 || c4.NumRows != 52 {
 		t.Fatal("Columns view not rebuilt after AddOwned")
 	}
 }
@@ -101,12 +136,12 @@ func TestColumnsConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			views[g] = ds.Columns()
+			views[g], _ = ds.Columns()
 		}(g)
 	}
 	wg.Wait()
-	for g := 1; g < len(views); g++ {
-		if views[g] != views[0] {
+	for g := range views {
+		if views[g] == nil || views[g] != views[0] {
 			t.Fatal("concurrent Columns calls returned different views")
 		}
 	}

@@ -33,8 +33,8 @@ type BatchScoreKernel interface {
 	// TrueScoreAll fills p[r] and match[r] for every row r of ds, where
 	// the true value of row r is ds.X[r][target]. Results must be
 	// bit-identical to calling TrueScore(ds.X[r], ds.X[r][target], ...)
-	// per row. ds must satisfy its own schema (Validate), and p and match
-	// must have length ds.Len().
+	// per row. ds must satisfy its own schema (Validate), or the call
+	// panics, and p and match must have length ds.Len().
 	TrueScoreAll(ds *Dataset, target int, p []float64, match []bool)
 }
 

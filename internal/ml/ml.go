@@ -182,7 +182,10 @@ func Entropy(counts []int) float64 {
 			continue
 		}
 		p := float64(c) / float64(total)
-		h -= p * math.Log2(p)
+		// The conversion rounds the product before the subtraction, so a
+		// compiler that fuses multiply-adds computes the same bits as
+		// Log2Tables.PLog.
+		h -= float64(p * math.Log2(p))
 	}
 	return h
 }

@@ -42,13 +42,18 @@ var (
 
 // Fit implements ml.Learner. Conditional count tables come from the
 // dataset's column-major view: each attribute's tally walks two contiguous
-// int32 columns instead of hopping across row-major rows.
+// int32 columns instead of hopping across row-major rows. Rows written
+// straight into ds.X that break the schema are an error.
 func (l *Learner) Fit(ds *ml.Dataset, target int) (ml.Classifier, error) {
 	if target < 0 || target >= len(ds.Attrs) {
 		return nil, fmt.Errorf("nbayes: target %d outside schema of %d attributes", target, len(ds.Attrs))
 	}
 	if ds.Len() == 0 {
 		return nil, fmt.Errorf("nbayes: empty dataset")
+	}
+	cols, err := ds.Columns()
+	if err != nil {
+		return nil, fmt.Errorf("nbayes: %w", err)
 	}
 	alpha := l.Alpha
 	if !(alpha > 0 && alpha < math.Inf(1)) {
@@ -67,7 +72,6 @@ func (l *Learner) Fit(ds *ml.Dataset, target int) (ml.Classifier, error) {
 		m.LogPrior[c] = math.Log((float64(classCounts[c]) + alpha) / (total + alpha*float64(classes)))
 	}
 
-	cols := ds.Columns()
 	tcol := cols.Cols[target]
 	for a := range ds.Attrs {
 		if a == target {

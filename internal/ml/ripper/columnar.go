@@ -20,9 +20,11 @@ import (
 // words cost per attribute regardless of coverage) loses to walking the
 // covered rows directly, so the candidate counts switch to a row tally
 // over the columns — the integer (p, n) pairs are the same either way,
-// hence the same gains, the same accepted conditions, the same rule.
+// hence the same gains, the same accepted conditions, the same rule. The
+// logarithms come from ml.Log2Tables, bit-equal to math.Log2 of the same
+// ratios.
 func (f *fitter) growRuleCols(cls int, grow []int) *Rule {
-	l, cols := f.l, f.cols
+	l, cols, lt := f.l, f.cols, f.lt
 	clsBits := cols.Postings[f.target][cls]
 	cov := f.cov
 	cov.Clear()
@@ -52,7 +54,7 @@ func (f *fitter) growRuleCols(cls int, grow []int) *Rule {
 		bestGain := 0.0
 		var best Cond
 		found := false
-		base := math.Log2(float64(p0) / float64(p0+n0))
+		base := lt.Ratio(p0, p0+n0)
 		if covn <= f.tallyCut {
 			// Sparse coverage: materialise the covered rows once and tally
 			// per-value (p, n) from the contiguous columns.
@@ -82,7 +84,7 @@ func (f *fitter) growRuleCols(cls int, grow []int) *Rule {
 					if p == 0 {
 						continue
 					}
-					gain := float64(p) * (math.Log2(float64(p)/float64(p+n)) - base)
+					gain := float64(p) * (lt.Ratio(p, p+n) - base)
 					if gain > bestGain+1e-12 {
 						bestGain = gain
 						best = Cond{Attr: a, Val: v}
@@ -102,7 +104,7 @@ func (f *fitter) growRuleCols(cls int, grow []int) *Rule {
 						continue
 					}
 					n := ml.AndCount(cov, posts[v]) - p
-					gain := float64(p) * (math.Log2(float64(p)/float64(p+n)) - base)
+					gain := float64(p) * (lt.Ratio(p, p+n) - base)
 					if gain > bestGain+1e-12 {
 						bestGain = gain
 						best = Cond{Attr: a, Val: v}

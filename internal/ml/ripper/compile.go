@@ -117,7 +117,10 @@ func (c *Compiled) TrueScore(x []int, v int, _ []float64) (p float64, match bool
 // and every covered row takes the rule's precomputed distribution row.
 // Rows no rule claims take the default row.
 func (c *Compiled) TrueScoreAll(ds *ml.Dataset, target int, p []float64, match []bool) {
-	cols := ds.Columns()
+	cols, err := ds.Columns()
+	if err != nil {
+		panic("ripper: TrueScoreAll on rows outside the schema: " + err.Error())
+	}
 	tcol := cols.Cols[target]
 	unclaimed := ml.NewFullBitset(cols.NumRows)
 	cov := ml.NewBitset(cols.NumRows)

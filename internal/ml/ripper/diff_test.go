@@ -77,52 +77,134 @@ func paperDataset(rng *rand.Rand) *ml.Dataset {
 	return ds
 }
 
+// diffConfigs are the learner settings the differential test and the fuzz
+// target hold Fit to the oracle under.
+var diffConfigs = []*Learner{
+	NewLearner(),
+	{GrowFrac: 0.5, Seed: 3},
+	{GrowFrac: 2.0 / 3.0, Seed: 9, MaxConds: 2},
+	{GrowFrac: 2.0 / 3.0, Seed: 5, MaxRulesPerClass: 1},
+	{Seed: 7}, // zero GrowFrac: the 2/3 default
+}
+
+// checkAgainstOracle fits target of ds with Fit and with fitOracle and
+// fails unless both fail or both return the same rule set, predicting the
+// same on every row of ds and on 20 probes drawn from rng (values up to
+// one past each attribute's range).
+func checkAgainstOracle(t testing.TB, trial string, ds *ml.Dataset, target int, l *Learner, rng *rand.Rand) {
+	t.Helper()
+	ref, refErr := fitOracle(l, ds, target)
+	fast, fastErr := l.Fit(ds, target)
+	if (refErr == nil) != (fastErr == nil) {
+		t.Fatalf("trial %s: error mismatch: ref=%v fast=%v", trial, refErr, fastErr)
+	}
+	if refErr != nil {
+		return
+	}
+	fastRS := fast.(*RuleSet)
+	if !reflect.DeepEqual(ref, fastRS) {
+		t.Fatalf("trial %s (target %d, learner %+v): Fit rule set differs from the oracle\nref:  %+v\nfast: %+v",
+			trial, target, l, ref, fastRS)
+	}
+	for _, x := range ds.X {
+		if !reflect.DeepEqual(ref.PredictProba(x), fastRS.PredictProba(x)) {
+			t.Fatalf("trial %s: prediction mismatch on %v", trial, x)
+		}
+	}
+	x := make([]int, len(ds.Attrs))
+	for probe := 0; probe < 20; probe++ {
+		for j, at := range ds.Attrs {
+			x[j] = rng.Intn(at.Card + 1)
+		}
+		if !reflect.DeepEqual(ref.PredictProba(x), fastRS.PredictProba(x)) {
+			t.Fatalf("trial %s: prediction mismatch on %v", trial, x)
+		}
+	}
+}
+
 // TestColumnarDifferential pins Fit's bitset-kernel rule induction
 // bit-identical to the row-major fitOracle: same rule lists in the same
 // order, same coverage histograms, same predictions, across randomised
 // datasets and learner settings, and at paper scale.
 func TestColumnarDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1337))
-	configs := []*Learner{
-		NewLearner(),
-		{GrowFrac: 0.5, Seed: 3},
-		{GrowFrac: 2.0 / 3.0, Seed: 9, MaxConds: 2},
-		{GrowFrac: 2.0 / 3.0, Seed: 5, MaxRulesPerClass: 1},
-		{Seed: 7}, // zero GrowFrac: the 2/3 default
-	}
-	check := func(trial string, ds *ml.Dataset, target int, l *Learner) {
-		t.Helper()
-		ref, refErr := fitOracle(l, ds, target)
-		fast, fastErr := l.Fit(ds, target)
-		if (refErr == nil) != (fastErr == nil) {
-			t.Fatalf("trial %s: error mismatch: ref=%v fast=%v", trial, refErr, fastErr)
-		}
-		if refErr != nil {
-			return
-		}
-		fastRS := fast.(*RuleSet)
-		if !reflect.DeepEqual(ref, fastRS) {
-			t.Fatalf("trial %s (target %d, learner %+v): Fit rule set differs from the oracle\nref:  %+v\nfast: %+v",
-				trial, target, l, ref, fastRS)
-		}
-		x := make([]int, len(ds.Attrs))
-		for probe := 0; probe < 20; probe++ {
-			for j, at := range ds.Attrs {
-				x[j] = rng.Intn(at.Card + 1)
-			}
-			if !reflect.DeepEqual(ref.PredictProba(x), fastRS.PredictProba(x)) {
-				t.Fatalf("trial %s: prediction mismatch on %v", trial, x)
-			}
-		}
-	}
 	for trial := 0; trial < 40; trial++ {
 		ds := randomDataset(rng)
-		check(fmt.Sprint(trial), ds, rng.Intn(len(ds.Attrs)), configs[trial%len(configs)])
+		checkAgainstOracle(t, fmt.Sprint(trial), ds, rng.Intn(len(ds.Attrs)), diffConfigs[trial%len(diffConfigs)], rng)
 	}
 	ds := paperDataset(rng)
-	for i, l := range configs {
-		check(fmt.Sprintf("paper/%d", i), ds, rng.Intn(len(ds.Attrs)), l)
+	for i, l := range diffConfigs {
+		checkAgainstOracle(t, fmt.Sprintf("paper/%d", i), ds, rng.Intn(len(ds.Attrs)), l, rng)
 	}
+}
+
+// decodeFitInput reads a fuzz input as a learner setting and a small
+// dataset, in the layout of the c45 fuzz target: byte 0 picks one of
+// diffConfigs, byte 1 the attribute count (2-6), one byte per attribute
+// its cardinality (2-6), the next byte the target, and the rest the
+// values row by row, each byte modulo its attribute's cardinality, up to
+// 80 rows. It reports false for an input too short to hold a schema.
+func decodeFitInput(data []byte) (l *Learner, ds *ml.Dataset, target int, ok bool) {
+	if len(data) < 2 {
+		return nil, nil, 0, false
+	}
+	l = diffConfigs[int(data[0])%len(diffConfigs)]
+	nAttrs := 2 + int(data[1])%5
+	data = data[2:]
+	if len(data) < nAttrs+1 {
+		return nil, nil, 0, false
+	}
+	attrs := make([]ml.Attr, nAttrs)
+	for j := range attrs {
+		attrs[j] = ml.Attr{Name: fmt.Sprintf("f%d", j), Card: 2 + int(data[j])%5}
+	}
+	target = int(data[nAttrs]) % nAttrs
+	data = data[nAttrs+1:]
+	ds = ml.NewDataset(attrs)
+	row := make([]int, nAttrs)
+	for len(data) >= nAttrs && ds.Len() < 80 {
+		for j, at := range attrs {
+			row[j] = int(data[j]) % at.Card
+		}
+		if err := ds.Add(row); err != nil {
+			panic(err) // unreachable: values are reduced into range
+		}
+		data = data[nAttrs:]
+	}
+	return l, ds, target, true
+}
+
+// FuzzRipperFit holds Fit to fitOracle on fuzzed schemas and rows. The
+// seed corpus runs every differential setting on a dataset with latent
+// structure, so the rule lists it starts from are not empty.
+func FuzzRipperFit(f *testing.F) {
+	rng := rand.New(rand.NewSource(7))
+	for cfg := range diffConfigs {
+		nAttrs := 2 + cfg%5
+		seed := []byte{byte(cfg), byte(nAttrs - 2)}
+		for j := 0; j < nAttrs; j++ {
+			seed = append(seed, byte(rng.Intn(5)))
+		}
+		seed = append(seed, byte(rng.Intn(nAttrs)))
+		for i := 0; i < 20+12*cfg; i++ {
+			latent := rng.Intn(4)
+			for j := 0; j < nAttrs; j++ {
+				v := latent
+				if rng.Float64() < 0.3 {
+					v = rng.Intn(6)
+				}
+				seed = append(seed, byte(v))
+			}
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l, ds, target, ok := decodeFitInput(data)
+		if !ok {
+			return
+		}
+		checkAgainstOracle(t, "fuzz", ds, target, l, rand.New(rand.NewSource(1)))
+	})
 }
 
 // TestPruneRuleIncremental pins both incremental prefix-metric prunings,
@@ -201,7 +283,10 @@ func TestPruneRuleIncremental(t *testing.T) {
 		}
 
 		// Fit's prefix-bitset pruning must agree as well.
-		f := newFitter(NewLearner(), ds, target, 2.0/3.0)
+		f, err := newFitter(NewLearner(), ds, target, 2.0/3.0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		gotCols := &Rule{Class: cls, Conds: append([]Cond(nil), conds...)}
 		f.pruneRuleCols(cls, gotCols, prune)
 		if !reflect.DeepEqual(gotCols.Conds, want.Conds) {

@@ -78,6 +78,7 @@ var (
 // column-major view: FOIL gain for every (attribute, value) candidate
 // comes from AND+popcount of the rule-coverage bitset with posting
 // bitsets, and pruning evaluates all condition prefixes incrementally.
+// Rows written straight into ds.X that break the schema are an error.
 func (l *Learner) Fit(ds *ml.Dataset, target int) (ml.Classifier, error) {
 	if target < 0 || target >= len(ds.Attrs) {
 		return nil, fmt.Errorf("ripper: target %d outside schema of %d attributes", target, len(ds.Attrs))
@@ -91,7 +92,10 @@ func (l *Learner) Fit(ds *ml.Dataset, target int) (ml.Classifier, error) {
 	}
 	classes := ds.Attrs[target].Card
 	rs := &RuleSet{Target: target, Classes: classes}
-	f := newFitter(l, ds, target, growFrac)
+	f, err := newFitter(l, ds, target, growFrac)
+	if err != nil {
+		return nil, fmt.Errorf("ripper: %w", err)
+	}
 
 	// Order classes by ascending frequency; the most frequent is default.
 	counts := ds.ClassCounts(target)
@@ -149,6 +153,7 @@ type fitter struct {
 	target   int
 	growFrac float64
 	cols     *ml.Columns
+	lt       *ml.Log2Tables
 	// cov/pos hold the grow-set rule coverage and its positive subset
 	// during growRuleCols; set/tmp serve pruning, coverage and filtering.
 	cov, pos, set, tmp ml.Bitset
@@ -163,8 +168,11 @@ type fitter struct {
 	fixed  []bool
 }
 
-func newFitter(l *Learner, ds *ml.Dataset, target int, growFrac float64) *fitter {
-	cols := ds.Columns()
+func newFitter(l *Learner, ds *ml.Dataset, target int, growFrac float64) (*fitter, error) {
+	cols, err := ds.Columns()
+	if err != nil {
+		return nil, err
+	}
 	maxCard, totalCard := 1, 0
 	for _, at := range ds.Attrs {
 		totalCard += at.Card
@@ -179,6 +187,7 @@ func newFitter(l *Learner, ds *ml.Dataset, target int, growFrac float64) *fitter
 		target:   target,
 		growFrac: growFrac,
 		cols:     cols,
+		lt:       ml.Log2(),
 		cov:      ml.NewBitset(cols.NumRows),
 		pos:      ml.NewBitset(cols.NumRows),
 		set:      ml.NewBitset(cols.NumRows),
@@ -189,7 +198,7 @@ func newFitter(l *Learner, ds *ml.Dataset, target int, growFrac float64) *fitter
 		pv:       make([]int, maxCard),
 		nv:       make([]int, maxCard),
 		fixed:    make([]bool, len(ds.Attrs)),
-	}
+	}, nil
 }
 
 // coverClass induces rules for cls until the positives among remaining are
