@@ -201,19 +201,22 @@ fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeBatchRequest$$' -fuzztime 10s
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseTraceContext$$' -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzScoreEvents$$' -fuzztime 10s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzLoadBundle$$' -fuzztime 10s
 	$(GO) test ./internal/ml/c45/ -run '^$$' -fuzz '^FuzzC45Fit$$' -fuzztime 10s
 	$(GO) test ./internal/ml/ripper/ -run '^$$' -fuzz '^FuzzRipperFit$$' -fuzztime 10s
 
 # fuzz-smoke is fuzz's short budget for `make ci`: the request-body
 # decoders against their encoding/json oracle, the counting discretiser
 # against its binary-search oracle, the trace-header parser, compiled
-# single-row scoring and Explain against the oracle combination rules, and
-# the C4.5 and RIPPER fits against their row-major oracles.
+# single-row scoring and Explain against the oracle combination rules,
+# the bundle loader on gob payloads past the frame checksum, and the C4.5
+# and RIPPER fits against their row-major oracles.
 fuzz-smoke:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeScoreRequest$$' -fuzztime 3s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeBatchRequest$$' -fuzztime 3s
 	$(GO) test ./internal/features/ -run '^$$' -fuzz '^FuzzTransformValue$$' -fuzztime 3s
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseTraceContext$$' -fuzztime 3s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzScoreEvents$$' -fuzztime 3s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzLoadBundle$$' -fuzztime 3s
 	$(GO) test ./internal/ml/c45/ -run '^$$' -fuzz '^FuzzC45Fit$$' -fuzztime 3s
 	$(GO) test ./internal/ml/ripper/ -run '^$$' -fuzz '^FuzzRipperFit$$' -fuzztime 3s

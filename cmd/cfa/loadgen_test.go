@@ -258,8 +258,8 @@ func TestLoadgenSweep(t *testing.T) {
 	model := filepath.Join(dir, "model.bin")
 	writeSyntheticTrace(t, normal, 300, false, 40)
 	var out bytes.Buffer
-	// C4.5 primary so the bundle carries the NB brownout fallback and
-	// level 2 really changes the scoring kernel.
+	// C4.5, `cfa train`'s default learner and the one the serve-batch
+	// benchmark serves, so the sweep loads the kernel a deployment runs.
 	if err := run([]string{"train", "-in", normal, "-model", model, "-learner", "C4.5", "-warmup", "0"}, &out); err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,6 @@ import (
 	"crossfeature/internal/core"
 	"crossfeature/internal/experiments"
 	"crossfeature/internal/features"
-	"crossfeature/internal/ml/nbayes"
 )
 
 func main() {
@@ -122,25 +121,6 @@ func train(args []string, w io.Writer) error {
 		Discretizer: disc,
 		Threshold:   th,
 		Scorer:      sc,
-	}
-	// Non-NBC bundles also carry a cheap naive-Bayes fallback trained on
-	// the same discretised data, with its own threshold calibrated at the
-	// same false-alarm rate: `cfa serve` scores through it at brownout
-	// level 2 instead of shedding outright. An NBC primary is already the
-	// cheap kernel, so it carries none.
-	if learner.Name() != "NBC" {
-		fb, err := core.Train(ds, nbayes.NewLearner(), core.TrainOptions{Parallelism: *parallel})
-		if err != nil {
-			return fmt.Errorf("training NB fallback: %w", err)
-		}
-		fth, fdropped := core.Calibrate(fb.ScoreAll(ds, sc), *far)
-		if fdropped > 0 {
-			fmt.Fprintf(w, "warning: dropped %d non-finite fallback scores during calibration\n", fdropped)
-		}
-		b.Fallback = fb
-		b.FallbackThreshold = fth
-		fmt.Fprintf(w, "trained NBC brownout fallback: %d sub-models, threshold %.4f\n",
-			fb.NumModels(), fth)
 	}
 	// SaveFile writes a checksummed snapshot via temp-file + rename, so a
 	// crash mid-write never leaves a half-written model behind.

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"crossfeature/internal/core"
 	"crossfeature/internal/features"
 )
 
@@ -64,6 +65,29 @@ func TestTrainDetectRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "flagged as anomalies") {
 		t.Errorf("detect output: %s", out.String())
+	}
+}
+
+// TestTrainC45WritesOneAnalyzer pins that `cfa train` ships only the
+// analyzer it trained: no naive-Bayes fallback in the file or the output.
+func TestTrainC45WritesOneAnalyzer(t *testing.T) {
+	dir := t.TempDir()
+	normal := filepath.Join(dir, "normal.csv")
+	model := filepath.Join(dir, "model.bin")
+	writeSyntheticTrace(t, normal, 200, false, 1)
+	var out bytes.Buffer
+	if err := run([]string{"train", "-in", normal, "-model", model, "-learner", "C4.5", "-warmup", "0"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.TrimSpace(out.String()); strings.Count(got, "\n") != 0 || !strings.HasPrefix(got, "trained C4.5 detector") {
+		t.Errorf("train output: %q, want one trained C4.5 line", got)
+	}
+	var b core.Bundle
+	if err := core.ReadSnapshotFile(model, &b); err != nil {
+		t.Fatal(err)
+	}
+	if b.Fallback != nil {
+		t.Error("cfa train wrote a fallback ensemble")
 	}
 }
 

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
+	"flag"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"crossfeature/internal/ml"
@@ -89,5 +94,70 @@ func FuzzScoreEvents(f *testing.F) {
 			}
 			checkExplain(t, a, x)
 		}
+	})
+}
+
+// TestMain caps the fuzz engine's minimisation of each new input at one
+// second unless -test.fuzzminimizetime is given. FuzzLoadBundle's inputs
+// are kilobytes of gob and the byte-subset pass of minimisation is
+// quadratic in input length, so at the 60 s default every new input
+// stalls a worker for up to a minute and the exec count stands still.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == "test.fuzzminimizetime" })
+	if !set {
+		if err := flag.Set("test.fuzzminimizetime", "1s"); err != nil {
+			panic(err)
+		}
+	}
+	os.Exit(m.Run())
+}
+
+// FuzzLoadBundle feeds arbitrary gob payloads through the bundle loader,
+// framed under a valid header and checksum so that mutations reach gob
+// and Validate. A bundle the loader accepts must compile and score an
+// all-zero row through Score and a 9-row batch through ScoreAll (at
+// batchKernelMin rows and up the columnar side of its row-major/columnar
+// choice) without panicking. Seeds: C4.5, RIPPER and NBC bundles of
+// testBundle's shape, and the legacy bundle with a naive-Bayes fallback.
+func FuzzLoadBundle(f *testing.F) {
+	RegisterGobModels()
+	for _, l := range []ml.Learner{c45.NewLearner(), ripper.NewLearner(), nbayes.NewLearner()} {
+		var payload bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(testBundleOf(f, l)); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload.Bytes())
+	}
+	legacy, err := os.Open(filepath.Join("testdata", "legacy_c45_nbfallback.bin"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer legacy.Close()
+	payload, err := ReadFrame(legacy, snapshotMagic, snapshotVersion)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(payload)
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var framed bytes.Buffer
+		if err := WriteFrame(&framed, snapshotMagic, snapshotVersion, payload); err != nil {
+			t.Fatal(err)
+		}
+		b, err := readBundle(&framed)
+		if err != nil {
+			return
+		}
+		a := b.Analyzer
+		a.Compile()
+		x := make([]int, len(a.Attrs))
+		a.Score(x, b.Scorer)
+		rows := make([][]int, batchKernelMin+1)
+		for i := range rows {
+			rows[i] = x
+		}
+		a.ScoreAll(ml.DatasetOf(a.Attrs, rows), b.Scorer)
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"crossfeature/internal/failpoint"
 	"crossfeature/internal/features"
@@ -42,9 +43,13 @@ const (
 	// FrameHeaderLen is the fixed size of the frame header in bytes.
 	FrameHeaderLen = 18
 	snapshotHdrLen = FrameHeaderLen
-	// snapshotMaxLen caps the declared payload length so a corrupt header
-	// cannot drive a multi-gigabyte allocation.
+	// snapshotMaxLen caps the declared payload length.
 	snapshotMaxLen = 1 << 31
+	// frameChunk is the most ReadFrame reserves on the header's word
+	// alone: a longer payload grows with the bytes that actually arrive
+	// (as Go's internal/saferio.ReadData does), so a corrupt header
+	// cannot drive a multi-gigabyte allocation.
+	frameChunk = 10 << 20
 )
 
 var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -118,21 +123,30 @@ func ReadFrame(r io.Reader, magic string, version uint16) ([]byte, error) {
 	if length > snapshotMaxLen {
 		return nil, fmt.Errorf("%w: implausible payload length %d", ErrSnapshotCorrupt, length)
 	}
-	payload := bytes.NewBuffer(make([]byte, 0, int(length)))
-	n, err := io.Copy(payload, io.LimitReader(r, int64(length)))
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading payload: %v", ErrSnapshotCorrupt, err)
-	}
-	if uint64(n) < length {
-		return nil, fmt.Errorf("%w: payload truncated at %d of %d bytes", ErrSnapshotCorrupt, n, length)
+	// Read at most one chunk past what has arrived, so a payload up to
+	// frameChunk takes one exact allocation and a header that overstates
+	// its payload costs at most one chunk.
+	var payload []byte
+	for rem := length; rem > 0; {
+		step := int(min(rem, frameChunk))
+		payload = slices.Grow(payload, step)
+		n, err := io.ReadFull(r, payload[len(payload):len(payload)+step])
+		payload = payload[:len(payload)+n]
+		switch {
+		case err == io.EOF || err == io.ErrUnexpectedEOF:
+			return nil, fmt.Errorf("%w: payload truncated at %d of %d bytes", ErrSnapshotCorrupt, len(payload), length)
+		case err != nil:
+			return nil, fmt.Errorf("%w: reading payload: %v", ErrSnapshotCorrupt, err)
+		}
+		rem -= uint64(step)
 	}
 	if extra, _ := io.CopyN(io.Discard, r, 1); extra != 0 {
 		return nil, fmt.Errorf("%w: trailing data after %d-byte payload", ErrSnapshotCorrupt, length)
 	}
-	if got := crc32.Checksum(payload.Bytes(), snapshotCRC); got != wantCRC {
+	if got := crc32.Checksum(payload, snapshotCRC); got != wantCRC {
 		return nil, fmt.Errorf("%w: checksum mismatch (file %08x, payload %08x)", ErrSnapshotCorrupt, wantCRC, got)
 	}
-	return payload.Bytes(), nil
+	return payload, nil
 }
 
 // WriteSnapshot writes v as a versioned, checksummed snapshot.
@@ -260,32 +274,28 @@ func LoadFile(path string) (*Analyzer, error) {
 // Bundle is the deployable model artifact `cfa train` emits and the
 // scoring paths (`cfa detect/curve/inspect/serve`) consume: the trained
 // analyzer, the discretiser that maps raw audit vectors onto its schema,
-// and the calibrated operating point.
+// and the calibrated operating point. Every path scores through Analyzer.
 type Bundle struct {
 	Analyzer    *Analyzer
 	Discretizer *features.Discretizer
 	Threshold   float64
 	Scorer      Scorer
 
-	// Fallback, when present, is a cheap naive-Bayes ensemble trained on
-	// the same discretised dataset as Analyzer, with its own calibrated
-	// threshold. The serving layer's brownout mode scores through it when
-	// the primary ensemble can no longer keep up with offered load: NB
-	// inference compiles to flat count-table lookups, the cheapest kernel
-	// of the three learners. Nil when the primary learner is already NBC
-	// (the fallback would be the primary) and in bundles written before
-	// the field existed — gob leaves absent fields zero, so old snapshots
-	// load unchanged.
-	Fallback          *Analyzer
-	FallbackThreshold float64
+	// Fallback held the naive-Bayes ensemble that older builds of `cfa
+	// train` wrote beside a C4.5 or RIPPER analyzer.
+	//
+	// Deprecated: nothing writes or scores it. LoadBundleFile drops it
+	// after decoding, so such bundles score through Analyzer unchanged.
+	// The field stays only because bench/replay.go still reads it.
+	Fallback *Analyzer
 }
 
 // Validate checks the structural invariants a loaded bundle must satisfy
 // before it may serve traffic. Load goes through this, so a snapshot that
 // decodes but is semantically hollow or mis-shaped (nil analyzer, no
-// sub-models, schema mismatch, a Naive Bayes table whose dimensions Fit
-// could not have produced, non-finite threshold) is rejected like any
-// other corruption instead of panicking at compile or scoring time.
+// sub-models, schema mismatch, a sub-model whose dimensions Fit could not
+// have produced, non-finite threshold) is rejected like any other
+// corruption instead of panicking at compile or scoring time.
 func (b *Bundle) Validate() error {
 	switch {
 	case b.Analyzer == nil:
@@ -308,53 +318,37 @@ func (b *Bundle) Validate() error {
 	if err := b.Analyzer.checkShape(); err != nil {
 		return fmt.Errorf("%w: bundle analyzer: %v", ErrSnapshotCorrupt, err)
 	}
-	if err := b.checkCardinalities(b.Analyzer); err != nil {
-		return fmt.Errorf("%w: bundle analyzer: %v", ErrSnapshotCorrupt, err)
-	}
-	if b.Fallback != nil {
-		switch {
-		case b.Fallback.NumModels() == 0:
-			return fmt.Errorf("%w: bundle fallback analyzer has no sub-models", ErrSnapshotCorrupt)
-		case len(b.Fallback.Attrs) != len(b.Analyzer.Attrs):
-			return fmt.Errorf("%w: fallback schema width %d does not match primary %d",
-				ErrSnapshotCorrupt, len(b.Fallback.Attrs), len(b.Analyzer.Attrs))
-		case math.IsNaN(b.FallbackThreshold) || math.IsInf(b.FallbackThreshold, 0):
-			return fmt.Errorf("%w: non-finite fallback threshold %v", ErrSnapshotCorrupt, b.FallbackThreshold)
-		}
-		if err := b.Fallback.checkShape(); err != nil {
-			return fmt.Errorf("%w: bundle fallback analyzer: %v", ErrSnapshotCorrupt, err)
-		}
-		if err := b.checkCardinalities(b.Fallback); err != nil {
-			return fmt.Errorf("%w: bundle fallback analyzer: %v", ErrSnapshotCorrupt, err)
-		}
-	}
-	return nil
-}
-
-// checkCardinalities verifies that every attribute of a has as many
-// values as the bundle's discretiser produces for that feature, so no
-// transformed record can index past a sub-model's tables.
-func (b *Bundle) checkCardinalities(a *Analyzer) error {
-	for j, at := range a.Attrs {
+	// Every attribute must have as many values as the discretiser
+	// produces for its feature, so no transformed record can index past a
+	// sub-model's tables.
+	for j, at := range b.Analyzer.Attrs {
 		if c := b.Discretizer.Cardinality(j); at.Card != c {
-			return fmt.Errorf("attribute %d has cardinality %d, discretizer gives %d", j, at.Card, c)
+			return fmt.Errorf("%w: bundle analyzer: attribute %d has cardinality %d, discretizer gives %d",
+				ErrSnapshotCorrupt, j, at.Card, c)
 		}
 	}
 	return nil
 }
 
 // checkShape verifies that the analyzer has one model slot per attribute
-// and that every Naive Bayes sub-model has exactly the table dimensions
-// Fit produces for its attribute (the check Fuse applies too).
+// and that every sub-model has exactly the shape its learner's Fit
+// produces for that slot: the dimensions compile and scoring index by.
 func (a *Analyzer) checkShape() error {
 	if len(a.Models) != len(a.Attrs) {
 		return fmt.Errorf("%d sub-model slots for %d attributes", len(a.Models), len(a.Attrs))
 	}
 	for i, m := range a.Models {
-		if nb, ok := m.(*nbayes.Model); ok {
-			if err := nb.CheckShape(a.Attrs, i); err != nil {
-				return fmt.Errorf("sub-model %d: %v", i, err)
-			}
+		var err error
+		switch m := m.(type) {
+		case *c45.Tree:
+			err = m.CheckShape(a.Attrs, i)
+		case *ripper.RuleSet:
+			err = m.CheckShape(a.Attrs, i)
+		case *nbayes.Model:
+			err = m.CheckShape(a.Attrs, i)
+		}
+		if err != nil {
+			return fmt.Errorf("sub-model %d: %v", i, err)
 		}
 	}
 	return nil
@@ -363,17 +357,6 @@ func (a *Analyzer) checkShape() error {
 // Detector builds the bundle's detector at its calibrated threshold.
 func (b *Bundle) Detector() *Detector {
 	return &Detector{Analyzer: b.Analyzer, Scorer: b.Scorer, Threshold: b.Threshold}
-}
-
-// FallbackDetector builds the degraded-mode NB detector at its own
-// calibrated threshold, or nil when the bundle carries no fallback. The
-// combination rule is shared with the primary so scores from both stay in
-// the same [0,1] range.
-func (b *Bundle) FallbackDetector() *Detector {
-	if b.Fallback == nil {
-		return nil
-	}
-	return &Detector{Analyzer: b.Fallback, Scorer: b.Scorer, Threshold: b.FallbackThreshold}
 }
 
 // SaveFile writes the bundle to path atomically.
@@ -387,14 +370,30 @@ func (b *Bundle) SaveFile(path string) error {
 // LoadBundleFile reads and fully validates a bundle from path: header,
 // checksum, gob payload and structural invariants all pass before the
 // bundle is returned, so a caller holding an old model can safely keep it
-// on any error.
+// on any error. A deprecated Fallback ensemble in an old bundle is
+// dropped unchecked; nothing scores it.
 func LoadBundleFile(path string) (*Bundle, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("core: open model file: %w", err)
+	}
+	defer f.Close()
+	b, err := readBundle(f)
+	if err != nil {
+		return nil, fmt.Errorf("model %s: %w", path, err)
+	}
+	return b, nil
+}
+
+// readBundle decodes and validates one bundle snapshot from r.
+func readBundle(r io.Reader) (*Bundle, error) {
 	var b Bundle
-	if err := ReadSnapshotFile(path, &b); err != nil {
+	if err := ReadSnapshot(r, &b); err != nil {
 		return nil, err
 	}
+	b.Fallback = nil
 	if err := b.Validate(); err != nil {
-		return nil, fmt.Errorf("model %s: %w", path, err)
+		return nil, err
 	}
 	return &b, nil
 }

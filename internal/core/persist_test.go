@@ -2,23 +2,33 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"crossfeature/internal/failpoint"
 	"crossfeature/internal/features"
 	"crossfeature/internal/ml"
+	"crossfeature/internal/ml/c45"
 	"crossfeature/internal/ml/nbayes"
+	"crossfeature/internal/ml/ripper"
 )
 
 // testBundle trains a small but real bundle: correlated continuous rows,
 // a fitted discretizer and a naive Bayes ensemble.
-func testBundle(t *testing.T) *Bundle {
+func testBundle(t testing.TB) *Bundle {
+	t.Helper()
+	return testBundleOf(t, nbayes.NewLearner())
+}
+
+// testBundleOf is testBundle with the ensemble trained by l.
+func testBundleOf(t testing.TB, l ml.Learner) *Bundle {
 	t.Helper()
 	rows := make([][]float64, 0, 120)
 	for i := 0; i < 120; i++ {
@@ -33,7 +43,7 @@ func testBundle(t *testing.T) *Bundle {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Train(ds, nbayes.NewLearner(), TrainOptions{})
+	a, err := Train(ds, l, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,65 +174,208 @@ func TestLoadBundleFileValidates(t *testing.T) {
 }
 
 // TestLoadBundleFileRejectsMisshapedModels is the regression test for
-// bundles whose Naive Bayes tables Fit could not have produced: one
-// conditional table a class row short used to pass Validate and then
-// panic (index out of range) when the loader compiled it. Each damaged
-// bundle, primary or fallback, must load as ErrSnapshotCorrupt.
+// bundles whose sub-models Fit could not have produced. Each used to pass
+// Validate and then panic when the loader compiled or scored it: a Naive
+// Bayes table a class row short (index out of range), a C4.5 tree with a
+// corrupt class count (makeslice: cap out of range) and a RIPPER
+// condition on a negative attribute (index out of range in matchRow).
+// Each damaged bundle must load as ErrSnapshotCorrupt.
 func TestLoadBundleFileRejectsMisshapedModels(t *testing.T) {
-	cases := map[string]func(b *Bundle){
-		"class row short": func(b *Bundle) {
+	tree := func(b *Bundle, i int) *c45.Tree { return b.Analyzer.Models[i].(*c45.Tree) }
+	rules := func(b *Bundle) *ripper.RuleSet {
+		for _, m := range b.Analyzer.Models {
+			if rs := m.(*ripper.RuleSet); len(rs.Rules) > 0 && len(rs.Rules[0].Conds) > 0 {
+				return rs
+			}
+		}
+		t.Fatal("test bundle has no RIPPER rule with a condition")
+		return nil
+	}
+	cases := []struct {
+		name    string
+		learner ml.Learner
+		damage  func(b *Bundle)
+	}{
+		{"class row short", nbayes.NewLearner(), func(b *Bundle) {
 			m := b.Analyzer.Models[0].(*nbayes.Model)
 			m.LogCond[1] = m.LogCond[1][:len(m.LogCond[1])-1]
-		},
-		"value row short": func(b *Bundle) {
+		}},
+		{"value row short", nbayes.NewLearner(), func(b *Bundle) {
 			m := b.Analyzer.Models[2].(*nbayes.Model)
 			m.LogCond[0][0] = m.LogCond[0][0][:len(m.LogCond[0][0])-1]
-		},
-		"prior short": func(b *Bundle) {
+		}},
+		{"prior short", nbayes.NewLearner(), func(b *Bundle) {
 			m := b.Analyzer.Models[1].(*nbayes.Model)
 			m.LogPrior = m.LogPrior[:len(m.LogPrior)-1]
-		},
-		"wrong target": func(b *Bundle) {
+		}},
+		{"wrong target", nbayes.NewLearner(), func(b *Bundle) {
 			b.Analyzer.Models[3].(*nbayes.Model).Target = 0
-		},
-		"fewer model slots than attributes": func(b *Bundle) {
+		}},
+		{"fewer model slots than attributes", nbayes.NewLearner(), func(b *Bundle) {
 			b.Analyzer.Models = b.Analyzer.Models[:len(b.Analyzer.Models)-1]
-		},
-		"more model slots than attributes": func(b *Bundle) {
+		}},
+		{"more model slots than attributes", nbayes.NewLearner(), func(b *Bundle) {
 			b.Analyzer.Models = append(b.Analyzer.Models, b.Analyzer.Models[0])
-		},
-		"fallback class row short": func(b *Bundle) {
-			fb := testBundle(t).Analyzer
+		}},
+		{"C4.5 classes", c45.NewLearner(), func(b *Bundle) { tree(b, 0).Classes = -1 }},
+		{"C4.5 wrong target", c45.NewLearner(), func(b *Bundle) { tree(b, 1).Target = 2 }},
+		{"C4.5 histogram short", c45.NewLearner(), func(b *Bundle) {
+			r := tree(b, 2).Root
+			r.Counts = r.Counts[:len(r.Counts)-1]
+		}},
+		{"C4.5 split on target", c45.NewLearner(), func(b *Bundle) {
+			tree(b, 0).Root = &c45.Node{Attr: 0, Children: make([]*c45.Node, b.Analyzer.Attrs[0].Card), Counts: tree(b, 0).Root.Counts}
+		}},
+		{"C4.5 split span short", c45.NewLearner(), func(b *Bundle) {
+			tree(b, 0).Root = &c45.Node{Attr: 1, Children: make([]*c45.Node, 2), Counts: tree(b, 0).Root.Counts}
+		}},
+		{"RIPPER negative attribute", ripper.NewLearner(), func(b *Bundle) { rules(b).Rules[0].Conds[0].Attr = -1 }},
+		{"RIPPER value outside attribute", ripper.NewLearner(), func(b *Bundle) {
+			c := &rules(b).Rules[0].Conds[0]
+			c.Val = b.Analyzer.Attrs[c.Attr].Card
+		}},
+		{"RIPPER default short", ripper.NewLearner(), func(b *Bundle) {
+			rs := rules(b)
+			rs.Default = rs.Default[:1]
+		}},
+		{"RIPPER rule class", ripper.NewLearner(), func(b *Bundle) {
+			rs := rules(b)
+			rs.Rules[0].Class = rs.Classes
+		}},
+	}
+	dir := t.TempDir()
+	for _, tc := range cases {
+		b := testBundleOf(t, tc.learner)
+		tc.damage(b)
+		path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "-")+".bin")
+		if err := WriteSnapshotFile(path, b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadBundleFile(path); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("%s: load error = %v, want ErrSnapshotCorrupt", tc.name, err)
+		}
+	}
+	// The undamaged bundles still load and compile.
+	for _, l := range []ml.Learner{nbayes.NewLearner(), c45.NewLearner(), ripper.NewLearner()} {
+		path := filepath.Join(dir, "good.bin")
+		if err := WriteSnapshotFile(path, testBundleOf(t, l)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadBundleFile(path)
+		if err != nil {
+			t.Fatalf("well-shaped %s bundle rejected: %v", l.Name(), err)
+		}
+		if st := got.Analyzer.Compile(); st.Models != got.Analyzer.NumModels() {
+			t.Fatalf("loaded %s bundle compiled %d of %d models", l.Name(), st.Models, got.Analyzer.NumModels())
+		}
+	}
+}
+
+// TestLoadBundleFileDiscardsFallback pins that the deprecated Fallback
+// ensemble is dropped unchecked on load: bundles whose fallback would
+// have failed validation load with Fallback nil and their analyzer
+// intact.
+func TestLoadBundleFileDiscardsFallback(t *testing.T) {
+	cases := map[string]func(fb *Analyzer){
+		"fallback class row short": func(fb *Analyzer) {
 			m := fb.Models[0].(*nbayes.Model)
 			m.LogCond[2] = m.LogCond[2][:1]
-			b.Fallback, b.FallbackThreshold = fb, 0.5
+		},
+		"fallback cardinality": func(fb *Analyzer) {
+			fb.Attrs = append([]ml.Attr(nil), fb.Attrs...)
+			fb.Attrs[3].Card++
 		},
 	}
 	dir := t.TempDir()
 	for name, damage := range cases {
 		b := testBundle(t)
-		damage(b)
+		fb := testBundle(t).Analyzer
+		damage(fb)
+		b.Fallback = fb
 		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+".bin")
 		if err := WriteSnapshotFile(path, b); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadBundleFile(path); !errors.Is(err, ErrSnapshotCorrupt) {
-			t.Errorf("%s: load error = %v, want ErrSnapshotCorrupt", name, err)
+		got, err := LoadBundleFile(path)
+		if err != nil {
+			t.Fatalf("%s: load error = %v, want the fallback discarded", name, err)
+		}
+		if got.Fallback != nil {
+			t.Errorf("%s: loaded bundle keeps its fallback", name)
+		}
+		if got.Analyzer.NumModels() != b.Analyzer.NumModels() {
+			t.Errorf("%s: loaded %d sub-models, want %d", name, got.Analyzer.NumModels(), b.Analyzer.NumModels())
 		}
 	}
-	// The undamaged bundle, fallback included, still loads and scores.
-	b := testBundle(t)
-	b.Fallback, b.FallbackThreshold = testBundle(t).Analyzer, 0.5
-	path := filepath.Join(dir, "good.bin")
-	if err := WriteSnapshotFile(path, b); err != nil {
+}
+
+// legacyBundleDigest is an FNV-1a digest over the float64 bits of the
+// primary analyzer's Probability scores on testBundle's 120 rows,
+// recorded when testdata/legacy_c45_nbfallback.bin was written.
+const legacyBundleDigest = 0xb276ca156f472f35
+
+// TestLegacyFallbackBundle loads a bundle written the way `cfa train
+// -learner C4.5` wrote them while bundles carried a naive-Bayes fallback:
+// a C4.5 analyzer plus the fallback ensemble and its threshold. It must
+// load with the fallback dropped and score through its analyzer exactly
+// as it did when it was written, through Score and through ScoreAll on
+// both sides of the row-major/columnar choice.
+func TestLegacyFallbackBundle(t *testing.T) {
+	b, err := LoadBundleFile(filepath.Join("testdata", "legacy_c45_nbfallback.bin"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadBundleFile(path)
-	if err != nil {
-		t.Fatalf("well-shaped bundle rejected: %v", err)
+	if b.Fallback != nil {
+		t.Fatal("legacy bundle loaded with its fallback")
 	}
-	if st := got.Analyzer.Compile(); st.Models != got.Analyzer.NumModels() {
-		t.Fatalf("loaded bundle compiled %d of %d models", st.Models, got.Analyzer.NumModels())
+	if b.Analyzer.LearnerName != "C4.5" {
+		t.Fatalf("legacy analyzer learner = %q, want C4.5", b.Analyzer.LearnerName)
+	}
+	rows := make([][]float64, 0, 120)
+	for i := 0; i < 120; i++ {
+		base := float64(i % 10)
+		rows = append(rows, []float64{base, base * 2, base * 3, float64(i % 3)})
+	}
+	ds, err := b.Discretizer.Dataset(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := b.Analyzer.ScoreAll(ds, b.Scorer)
+	h := uint64(14695981039346656037)
+	for i, v := range all {
+		h ^= math.Float64bits(v)
+		h *= 1099511628211
+		if one := b.Analyzer.Score(ds.X[i], b.Scorer); math.Float64bits(one) != math.Float64bits(v) {
+			t.Fatalf("row %d: Score %v != ScoreAll %v", i, one, v)
+		}
+		if few := b.Analyzer.ScoreAll(ml.DatasetOf(ds.Attrs, ds.X[i:i+1]), b.Scorer)[0]; math.Float64bits(few) != math.Float64bits(v) {
+			t.Fatalf("row %d: one-row ScoreAll %v != ScoreAll %v", i, few, v)
+		}
+	}
+	if h != legacyBundleDigest {
+		t.Fatalf("legacy bundle score digest %#x, want %#x", h, uint64(legacyBundleDigest))
+	}
+}
+
+// TestReadFrameBoundsAllocation is the regression test for a frame header
+// that overstates its payload: ReadFrame used to reserve the declared
+// length before reading a byte, so an 18-byte file could allocate up to
+// 2 GiB. Past frameChunk the buffer now grows only with bytes that
+// arrive.
+func TestReadFrameBoundsAllocation(t *testing.T) {
+	var hdr [FrameHeaderLen]byte
+	copy(hdr[:4], snapshotMagic)
+	binary.BigEndian.PutUint16(hdr[4:6], snapshotVersion)
+	binary.BigEndian.PutUint64(hdr[10:18], 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bytes.NewReader(hdr[:]), snapshotMagic, snapshotVersion)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("header-only 1 GiB frame: error = %v, want ErrSnapshotCorrupt", err)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(frameChunk+1<<20); got > limit {
+		t.Fatalf("header-only 1 GiB frame allocated %d bytes, want at most %d", got, limit)
 	}
 }
 
@@ -252,12 +405,6 @@ func TestLoadBundleFileRejectsMisshapedDiscretizer(t *testing.T) {
 		},
 		"missing cut": func(b *Bundle) {
 			b.Discretizer.Cuts[1] = b.Discretizer.Cuts[1][:len(b.Discretizer.Cuts[1])-1]
-		},
-		"fallback cardinality": func(b *Bundle) {
-			fb := testBundle(t).Analyzer
-			fb.Attrs = append([]ml.Attr(nil), fb.Attrs...)
-			fb.Attrs[3].Card++
-			b.Fallback, b.FallbackThreshold = fb, 0.5
 		},
 	}
 	for j, cuts := range testBundle(t).Discretizer.Cuts[:3] {

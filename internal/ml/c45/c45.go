@@ -323,6 +323,55 @@ func (t *Tree) PredictProbaInto(x []int, out []float64) []float64 {
 	return ml.LaplaceInto(n.Counts, out)
 }
 
+// CheckShape reports whether t has the shape Fit produces when predicting
+// attribute target over the schema attrs: a root, as many classes as the
+// target has values, a class histogram of that length at every node, and
+// every split on a schema attribute other than the target, at most once
+// per path, with one child slot per value of it. Compile and prediction
+// index by these dimensions, so a decoded tree that fails the check must
+// not score. A tree that passes is at most len(attrs) levels deep.
+func (t *Tree) CheckShape(attrs []ml.Attr, target int) error {
+	switch {
+	case t == nil || t.Root == nil:
+		return fmt.Errorf("c45: tree has no root")
+	case target < 0 || target >= len(attrs):
+		return fmt.Errorf("c45: target %d outside schema of %d attributes", target, len(attrs))
+	case t.Target != target:
+		return fmt.Errorf("c45: tree predicts attribute %d, want %d", t.Target, target)
+	case t.Classes != attrs[target].Card:
+		return fmt.Errorf("c45: %d classes, target %q has %d values", t.Classes, attrs[target].Name, attrs[target].Card)
+	}
+	used := make([]bool, len(attrs))
+	used[target] = true
+	var check func(n *Node) error
+	check = func(n *Node) error {
+		if len(n.Counts) != t.Classes {
+			return fmt.Errorf("c45: node histogram has %d classes, want %d", len(n.Counts), t.Classes)
+		}
+		if n.Attr == -1 && len(n.Children) == 0 {
+			return nil
+		}
+		if n.Attr < 0 || n.Attr >= len(attrs) || used[n.Attr] {
+			return fmt.Errorf("c45: split on attribute %d: a leaf with children, outside the schema, the target or already split above", n.Attr)
+		}
+		if len(n.Children) != attrs[n.Attr].Card {
+			return fmt.Errorf("c45: split on attribute %d has %d children, it has %d values", n.Attr, len(n.Children), attrs[n.Attr].Card)
+		}
+		used[n.Attr] = true
+		for _, ch := range n.Children {
+			if ch == nil {
+				continue
+			}
+			if err := check(ch); err != nil {
+				return err
+			}
+		}
+		used[n.Attr] = false
+		return nil
+	}
+	return check(t.Root)
+}
+
 // Size reports the number of nodes in the tree (for tests and reports).
 func (t *Tree) Size() int { return nodeCount(t.Root) }
 

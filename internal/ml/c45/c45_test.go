@@ -268,6 +268,54 @@ func TestGobRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGobDecodeRejectsCorruptTrees is the regression test for tree
+// encodings GobEncode cannot write. Mismatched child lists and negative
+// child values or indexes used to panic the decoder (escaping gob and the
+// bundle loader), a child link back to its own node decoded into a cycle
+// that overflowed the stack in Compile, and an oversized children span
+// was allocated before anything checked it. Each must decode as an error.
+func TestGobDecodeRejectsCorruptTrees(t *testing.T) {
+	leaf := flatNode{Attr: -1, Counts: []int{1, 2}}
+	split := func(card int32, vals, idx []int32) flatNode {
+		return flatNode{Attr: 0, Counts: []int{1, 2}, Card: card, ChildVal: vals, ChildIdx: idx}
+	}
+	cases := map[string][]flatNode{
+		"child index list short": {split(2, []int32{0, 1}, []int32{1}), leaf, leaf},
+		"negative child value":   {split(2, []int32{-1}, []int32{1}), leaf},
+		"negative child index":   {split(2, []int32{0}, []int32{-1}), leaf},
+		"child value past span":  {split(2, []int32{2}, []int32{1}), leaf},
+		"child index past nodes": {split(2, []int32{0}, []int32{2}), leaf},
+		"self link":              {split(2, []int32{0}, []int32{0})},
+		"back link":              {split(2, []int32{0}, []int32{1}), split(2, []int32{1}, []int32{0})},
+		"shared child":           {split(2, []int32{0, 1}, []int32{1, 1}), leaf},
+		"oversized span":         {split(1<<24, nil, nil)},
+		"negative span":          {split(-1, nil, nil)},
+	}
+	for name, nodes := range cases {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(flatTree{Target: 1, Classes: 2, Nodes: nodes}); err != nil {
+			t.Fatal(err)
+		}
+		var tr Tree
+		if err := tr.GobDecode(buf.Bytes()); err == nil {
+			t.Errorf("%s: corrupt encoding decoded without error", name)
+		}
+	}
+	// The well-formed neighbour of these encodings still decodes.
+	var buf bytes.Buffer
+	good := flatTree{Target: 1, Classes: 2, Nodes: []flatNode{split(2, []int32{0, 1}, []int32{1, 2}), leaf, leaf}}
+	if err := gob.NewEncoder(&buf).Encode(good); err != nil {
+		t.Fatal(err)
+	}
+	var tr Tree
+	if err := tr.GobDecode(buf.Bytes()); err != nil {
+		t.Fatalf("well-formed encoding: %v", err)
+	}
+	if tr.Size() != 3 {
+		t.Fatalf("decoded tree has %d nodes, want 3", tr.Size())
+	}
+}
+
 func TestInvNormSanity(t *testing.T) {
 	// invNorm(0.75) should be about 0.6745.
 	if got := invNorm(0.75); math.Abs(got-0.6745) > 1e-3 {

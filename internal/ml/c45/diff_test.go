@@ -104,6 +104,9 @@ func checkAgainstOracle(t testing.TB, trial string, ds *ml.Dataset, target int, 
 		return
 	}
 	fastTree := fast.(*Tree)
+	if err := fastTree.CheckShape(ds.Attrs, target); err != nil {
+		t.Fatalf("trial %s: Fit tree fails its shape check: %v", trial, err)
+	}
 	if !reflect.DeepEqual(ref, fastTree) {
 		t.Fatalf("trial %s (target %d, learner %+v): Fit tree differs from the oracle\nref:  %+v\nfast: %+v",
 			trial, target, l, ref.Root, fastTree.Root)

@@ -50,7 +50,17 @@ func (t *Tree) GobEncode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// GobDecode implements gob.GobDecoder.
+// maxSplitCard bounds the children span a decoded node may declare, so a
+// corrupt payload cannot size a huge allocation before anything checks
+// it. Attribute cardinalities are the discretiser's buckets + 4 (9 at the
+// paper's five buckets); no tree Fit grows splits one this wide.
+const maxSplitCard = 1 << 12
+
+// GobDecode implements gob.GobDecoder. It rejects every encoding
+// GobEncode cannot write: children spans past maxSplitCard, mismatched
+// child lists, child values outside the span, and child links that are
+// not to a later node (GobEncode writes preorder) or that reuse a node,
+// which would make the decoded tree cyclic or shared.
 func (t *Tree) GobDecode(data []byte) error {
 	var ft flatTree
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ft); err != nil {
@@ -65,18 +75,23 @@ func (t *Tree) GobDecode(data []byte) error {
 	nodes := make([]*Node, len(ft.Nodes))
 	for i := range ft.Nodes {
 		fn := &ft.Nodes[i]
+		if fn.Card < 0 || fn.Card > maxSplitCard || len(fn.ChildIdx) != len(fn.ChildVal) {
+			return fmt.Errorf("c45: corrupt tree encoding at node %d", i)
+		}
 		nodes[i] = &Node{Attr: fn.Attr, Counts: fn.Counts}
 		if fn.Card > 0 {
 			nodes[i].Children = make([]*Node, fn.Card)
 		}
 	}
+	linked := make([]bool, len(nodes))
 	for i := range ft.Nodes {
 		fn := &ft.Nodes[i]
 		for k, v := range fn.ChildVal {
-			ci := fn.ChildIdx[k]
-			if int(v) >= len(nodes[i].Children) || int(ci) >= len(nodes) {
+			ci := int(fn.ChildIdx[k])
+			if v < 0 || int(v) >= len(nodes[i].Children) || ci <= i || ci >= len(nodes) || linked[ci] {
 				return fmt.Errorf("c45: corrupt tree encoding at node %d", i)
 			}
+			linked[ci] = true
 			nodes[i].Children[v] = nodes[ci]
 		}
 	}

@@ -95,6 +95,9 @@ func TestColumnarDifferential(t *testing.T) {
 		if !reflect.DeepEqual(ref, fast.(*Model)) {
 			t.Fatalf("trial %s (target %d, alpha %v): Fit model differs from the oracle", trial, target, l.Alpha)
 		}
+		if err := fast.(*Model).CheckShape(ds.Attrs, target); err != nil {
+			t.Fatalf("trial %s: Fit model fails its shape check: %v", trial, err)
+		}
 		x := make([]int, len(ds.Attrs))
 		for probe := 0; probe < 20; probe++ {
 			for j, at := range ds.Attrs {

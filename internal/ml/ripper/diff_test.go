@@ -102,6 +102,9 @@ func checkAgainstOracle(t testing.TB, trial string, ds *ml.Dataset, target int, 
 		return
 	}
 	fastRS := fast.(*RuleSet)
+	if err := fastRS.CheckShape(ds.Attrs, target); err != nil {
+		t.Fatalf("trial %s: Fit rule set fails its shape check: %v", trial, err)
+	}
 	if !reflect.DeepEqual(ref, fastRS) {
 		t.Fatalf("trial %s (target %d, learner %+v): Fit rule set differs from the oracle\nref:  %+v\nfast: %+v",
 			trial, target, l, ref, fastRS)

@@ -298,5 +298,45 @@ func (rs *RuleSet) PredictProbaInto(x []int, out []float64) []float64 {
 	return ml.LaplaceInto(rs.Default, out)
 }
 
+// CheckShape reports whether rs has the shape Fit produces when
+// predicting attribute target over the schema attrs: as many classes as
+// the target has values, a default histogram and a class histogram per
+// rule of that length, rule classes in range, and every condition on a
+// schema attribute other than the target with a value inside it. Compile
+// and scoring index by these dimensions, so a decoded rule set that fails
+// the check must not score.
+func (rs *RuleSet) CheckShape(attrs []ml.Attr, target int) error {
+	switch {
+	case rs == nil:
+		return fmt.Errorf("ripper: nil rule set")
+	case target < 0 || target >= len(attrs):
+		return fmt.Errorf("ripper: target %d outside schema of %d attributes", target, len(attrs))
+	case rs.Target != target:
+		return fmt.Errorf("ripper: rule set predicts attribute %d, want %d", rs.Target, target)
+	case rs.Classes != attrs[target].Card:
+		return fmt.Errorf("ripper: %d classes, target %q has %d values", rs.Classes, attrs[target].Name, attrs[target].Card)
+	case len(rs.Default) != rs.Classes:
+		return fmt.Errorf("ripper: default histogram has %d classes, want %d", len(rs.Default), rs.Classes)
+	}
+	for i := range rs.Rules {
+		r := &rs.Rules[i]
+		switch {
+		case r.Class < 0 || r.Class >= rs.Classes:
+			return fmt.Errorf("ripper: rule %d predicts class %d of %d", i, r.Class, rs.Classes)
+		case len(r.Counts) != rs.Classes:
+			return fmt.Errorf("ripper: rule %d histogram has %d classes, want %d", i, len(r.Counts), rs.Classes)
+		}
+		for _, c := range r.Conds {
+			if c.Attr < 0 || c.Attr >= len(attrs) || c.Attr == target {
+				return fmt.Errorf("ripper: rule %d tests attribute %d: outside the schema or the target", i, c.Attr)
+			}
+			if c.Val < 0 || c.Val >= attrs[c.Attr].Card {
+				return fmt.Errorf("ripper: rule %d tests attribute %d for value %d of %d", i, c.Attr, c.Val, attrs[c.Attr].Card)
+			}
+		}
+	}
+	return nil
+}
+
 // NumRules reports the number of induced rules (excluding the default).
 func (rs *RuleSet) NumRules() int { return len(rs.Rules) }

@@ -63,16 +63,9 @@ type BatchScoreResponse struct {
 // Observe computes internally. Returns per-item results in input order
 // and the total records scored.
 //
-// lvl is the brownout level the request is served under. Level 1 skips
-// the Explain-style per-feature metrics; level 2 and above (when the
-// bundle carries an NB fallback) scores through the compiled NB kernel
-// *statelessly* — the per-stream detectors are never touched, because
-// ObserveScore folds raw scores into EWMA/hysteresis state against the
-// PRIMARY detector's threshold, and NB-scale scores would poison stream
-// state that outlives the brownout. Degraded verdicts are point-in-time:
-// Smoothed is the raw score and Alarm mirrors Anomaly, with no hysteresis
-// edges. That also skips the shard and stream locks — the stateful tail is
-// exactly the part worth shedding under overload.
+// lvl is the brownout level the request is served under. From level 1
+// the Explain-style per-feature metrics are skipped; every level scores
+// through the bundle's one analyzer and keeps stream state.
 // tr, when non-nil, receives per-stage hop stamps ("transform" after
 // discretisation, "kernel" after the batch kernel pass, "lock" at the
 // first stream-lock acquisition, "observe" once verdicts are folded), the
@@ -80,12 +73,6 @@ type BatchScoreResponse struct {
 // per request, not per record, so tracing costs O(1) allocations however
 // fat the batch.
 func (s *Server) scoreItems(lm *loadedModel, items []ScoreRequest, lvl int, tr *obs.ActiveTrace) ([]BatchItemResult, int) {
-	det := lm.detector
-	stateless := false
-	if lvl >= brownoutNBOnly && lm.fallback != nil {
-		det = lm.fallback
-		stateless = true
-	}
 	results := make([]BatchItemResult, len(items))
 	// Every record is discretised into one slab: flat holds the valid
 	// rows in order, each a width-long window of slab, and rows[i] is
@@ -124,6 +111,7 @@ func (s *Server) scoreItems(lm *loadedModel, items []ScoreRequest, lvl int, tr *
 	}
 	tr.Hop("transform")
 
+	det := lm.detector
 	an := det.Analyzer
 	scores := an.ScoreAll(ml.DatasetOf(an.Attrs, flat), det.Scorer)
 	tr.Hop("kernel")
@@ -140,12 +128,7 @@ func (s *Server) scoreItems(lm *loadedModel, items []ScoreRequest, lvl int, tr *
 		}
 		recScores := scores[off : off+len(xs)]
 		off += len(xs)
-		var rr []RecordResult
-		if stateless {
-			rr = statelessResults(items[i].Records, recScores, det.Threshold, s.met)
-		} else {
-			rr = s.statefulResults(lm, items[i], xs, recScores, feat, tr)
-		}
+		rr := s.statefulResults(lm, items[i], xs, recScores, feat, tr)
 		results[i].Results = rr
 		scored += len(rr)
 	}
@@ -182,7 +165,7 @@ func (s *Server) scoreItems(lm *loadedModel, items []ScoreRequest, lvl int, tr *
 }
 
 // statefulResults runs one item's precomputed scores through its stream's
-// detector under the stream lock — the full-fidelity (levels 0-1) tail.
+// detector under the stream lock.
 func (s *Server) statefulResults(lm *loadedModel, item ScoreRequest, xs [][]int, recScores []float64, feat *core.ScoreMetrics, tr *obs.ActiveTrace) []RecordResult {
 	st := s.streams.get(item.Stream, func() *core.OnlineDetector {
 		return s.newOnlineDetector(lm)
@@ -222,36 +205,6 @@ func (s *Server) statefulResults(lm *loadedModel, item ScoreRequest, xs [][]int,
 		rr = append(rr, out)
 	}
 	st.mu.Unlock()
-	return rr
-}
-
-// statelessResults builds point-in-time verdicts from NB fallback scores
-// at brownout level 2+: threshold comparison only, no stream state read
-// or written. Smoothed repeats the raw score and Alarm mirrors Anomaly so
-// a client keying off either field still gets a sane (if undamped)
-// signal; Raised/Cleared stay false because there is no hysteresis to
-// edge-trigger.
-func statelessResults(records []Record, recScores []float64, threshold float64, met *serverMetrics) []RecordResult {
-	rr := make([]RecordResult, 0, len(recScores))
-	for j, raw := range recScores {
-		anomaly := raw < threshold
-		out := RecordResult{
-			Time:     records[j].Time,
-			Score:    raw,
-			Smoothed: raw,
-			Anomaly:  anomaly,
-			Alarm:    anomaly,
-		}
-		if !isFinite(raw) {
-			out.Score, out.Smoothed, out.Anomaly, out.Alarm, out.Invalid = -1, -1, true, true, true
-			met.invalid.Inc()
-		} else if anomaly {
-			met.scoreAnomaly.Observe(raw)
-		} else {
-			met.scoreNormal.Observe(raw)
-		}
-		rr = append(rr, out)
-	}
 	return rr
 }
 
@@ -330,7 +283,7 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 		s.met.badRequests.Add(uint64(bad))
 	}
 	s.met.scored.Add(uint64(scored))
-	degraded := degradedMode(lvl, lm.fallback != nil)
+	degraded := degradedMode(lvl)
 	tr.RT.Degraded = degraded
 	if degraded != "" {
 		w.Header().Set(degradedHeader, degraded)

@@ -16,10 +16,11 @@ package serve
 //
 //   - Brownout: under *sustained* overload the service degrades verdict
 //     fidelity stepwise instead of shedding harder — level 1 drops
-//     Explain-style extras (per-feature metrics), level 2 scores through
-//     the bundle's cheap compiled NB fallback kernel without touching
-//     per-stream EWMA/hysteresis state, level 3 additionally
+//     Explain-style extras (per-feature metrics), level 2 keeps them off
+//     and is the last dwell before shedding, level 3 additionally
 //     sample-and-sheds at the door, admitting one request in admitEvery.
+//     Every level scores through the bundle's one analyzer and keeps
+//     per-stream EWMA/hysteresis state.
 //     The fraction is itself adaptive: hot ticks widen the stride
 //     multiplicatively, calm ticks narrow it by one, so the door matches
 //     whatever the overload ratio turns out to be — a fixed 50% cannot
@@ -63,8 +64,8 @@ var fpBrownout = failpoint.At("serve/brownout")
 const (
 	brownoutOff      = iota // full service
 	brownoutNoExtras        // skip Explain-style extras (per-feature metrics)
-	brownoutNBOnly          // score via the compiled NB fallback kernel, stateless
-	brownoutShedding        // NB-only plus sample-and-shed at admission
+	brownoutPreShed         // extras still off; the last dwell before shedding
+	brownoutShedding        // extras off plus sample-and-shed at admission
 )
 
 // brownoutMaxLevel is the deepest degradation level.
@@ -72,21 +73,16 @@ const brownoutMaxLevel = brownoutShedding
 
 // degradedMode names the degradation a response was served under, for the
 // X-CFA-Degraded header and the "degraded" response field. Empty at full
-// service. A bundle without an NB fallback cannot degrade scoring fidelity
-// (its primary is typically the NB kernel already), so levels 2 and 3
-// report what actually happened: extras off, plus shedding at level 3.
-func degradedMode(lvl int, haveFallback bool) string {
-	if lvl <= brownoutOff {
+// service; scores never degrade, so every level reports extras off, plus
+// shedding at level 3.
+func degradedMode(lvl int) string {
+	switch {
+	case lvl <= brownoutOff:
 		return ""
+	case lvl >= brownoutShedding:
+		return "extras-off+shed"
 	}
-	mode := "extras-off"
-	if lvl >= brownoutNBOnly && haveFallback {
-		mode = "nb-only"
-	}
-	if lvl >= brownoutShedding {
-		mode += "+shed"
-	}
-	return mode
+	return "extras-off"
 }
 
 // overloadController runs the AIMD budget and the brownout level state

@@ -3,81 +3,38 @@ package serve
 // Tests for the adaptive overload controller: AIMD budget moves,
 // entry/exit hysteresis pinned through the serve/brownout failpoint
 // (no real load needed), sample-shedding, the Retry-After clamp edges,
-// and — the one that matters most — the brownout NB-only differential:
-// degraded verdicts must be bit-identical to the fallback detector
-// scored by hand on the same records, and full verdicts to the primary.
+// and — the one that matters most — the level-2 differential: degraded
+// verdicts must be bit-identical to the bundle's analyzer and a stream
+// detector fed the same records by hand.
 
 import (
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
-	"crossfeature/internal/core"
 	"crossfeature/internal/failpoint"
-	"crossfeature/internal/features"
+	"crossfeature/internal/ml"
 	"crossfeature/internal/ml/c45"
 	"crossfeature/internal/ml/nbayes"
 )
 
-// writeFallbackBundle trains a bundle whose primary is a C4.5 ensemble
-// and whose Fallback is a naive-Bayes ensemble on the same discretised
-// data — the shape `cfa train -learner C4.5` now produces, and the only
-// shape under which brownout level 2 changes the scoring kernel.
-func writeFallbackBundle(t testing.TB, path string) *core.Bundle {
-	t.Helper()
-	rows := normalRows(120)
-	disc, err := features.Fit(rows, testFeatureNames, features.FitOptions{Buckets: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := disc.Dataset(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := core.Train(ds, c45.NewLearner(), core.TrainOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	th, _ := core.Calibrate(a.ScoreAll(ds, core.Probability), 0.02)
-	fb, err := core.Train(ds, nbayes.NewLearner(), core.TrainOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fth, _ := core.Calibrate(fb.ScoreAll(ds, core.Probability), 0.02)
-	b := &core.Bundle{
-		Analyzer:          a,
-		Discretizer:       disc,
-		Threshold:         th,
-		Scorer:            core.Probability,
-		Fallback:          fb,
-		FallbackThreshold: fth,
-	}
-	if err := b.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 func TestDegradedMode(t *testing.T) {
 	cases := []struct {
-		lvl          int
-		haveFallback bool
-		want         string
+		lvl  int
+		want string
 	}{
-		{brownoutOff, true, ""},
-		{brownoutOff, false, ""},
-		{brownoutNoExtras, true, "extras-off"},
-		{brownoutNoExtras, false, "extras-off"},
-		{brownoutNBOnly, true, "nb-only"},
-		{brownoutNBOnly, false, "extras-off"},
-		{brownoutShedding, true, "nb-only+shed"},
-		{brownoutShedding, false, "extras-off+shed"},
+		{brownoutOff, ""},
+		{brownoutNoExtras, "extras-off"},
+		{brownoutPreShed, "extras-off"},
+		{brownoutShedding, "extras-off+shed"},
 	}
 	for _, c := range cases {
-		if got := degradedMode(c.lvl, c.haveFallback); got != c.want {
-			t.Errorf("degradedMode(%d, %v) = %q, want %q", c.lvl, c.haveFallback, got, c.want)
+		if got := degradedMode(c.lvl); got != c.want {
+			t.Errorf("degradedMode(%d) = %q, want %q", c.lvl, got, c.want)
 		}
 	}
 }
@@ -109,7 +66,7 @@ func TestBrownoutHysteresis(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s.brown.tick()
 	}
-	if got := s.brown.level(); got != brownoutNBOnly {
+	if got := s.brown.level(); got != brownoutPreShed {
 		t.Fatalf("level after 6 hot ticks = %d, want 2", got)
 	}
 
@@ -119,7 +76,7 @@ func TestBrownoutHysteresis(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.brown.tick()
 	}
-	if got := s.brown.level(); got != brownoutNBOnly {
+	if got := s.brown.level(); got != brownoutPreShed {
 		t.Fatalf("level after 4 calm ticks = %d, want 2 (exit dwell is 5)", got)
 	}
 	s.brown.tick()
@@ -212,123 +169,105 @@ func TestAIMDBudget(t *testing.T) {
 	}
 }
 
-// TestBrownoutNBOnlyDifferential is the brownout analogue of the
-// score-diff pinning: at level 2 the served scores must be bit-identical
-// to the fallback detector scored by hand on the same records, and back
-// at level 0 bit-identical to the primary — same records, same bundle.
-func TestBrownoutNBOnlyDifferential(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/model.bin"
-	b := writeFallbackBundle(t, path)
-	s, err := New(Config{
-		ModelPath: path,
-		Logf:      func(format string, args ...any) { t.Logf(format, args...) },
-	})
+// TestBrownoutLevel2Differential is the brownout analogue of the
+// score-diff pinning, for a C4.5 and an NBC bundle: at level 2 and back at
+// level 0 the served scores must be bit-identical to the bundle's
+// analyzer scored by hand on the same records, and the verdicts to one
+// stream detector fed every record in order, so level 2 keeps stream
+// state. Level 2 answers extras-off and counts its verdicts.
+func TestBrownoutLevel2Differential(t *testing.T) {
+	for _, l := range []ml.Learner{c45.NewLearner(), nbayes.NewLearner()} {
+		t.Run(l.Name(), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "model.bin")
+			b := writeTestBundleOf(t, path, l)
+			s, err := New(Config{
+				ModelPath: path,
+				Logf:      func(format string, args ...any) { t.Logf(format, args...) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			defer failpoint.Disarm("serve/brownout")
+
+			recs := records(16, normalRecord)
+			recs = append(recs, records(8, anomalousRecord)...)
+			ref := s.newOnlineDetector(s.model.current())
+			for _, lvl := range []int{brownoutPreShed, brownoutOff} {
+				if err := failpoint.Arm("serve/brownout", fmt.Sprintf("error(%d)", lvl)); err != nil {
+					t.Fatal(err)
+				}
+				s.brown.tick()
+				resp, sr := postScore(t, ts.URL, ScoreRequest{Stream: "diff", Records: recs})
+				if sr == nil {
+					t.Fatalf("level-%d score failed: %d", lvl, resp.StatusCode)
+				}
+				want := map[int]string{brownoutPreShed: "extras-off", brownoutOff: ""}[lvl]
+				if got := resp.Header.Get("X-CFA-Degraded"); got != want || sr.Degraded != want {
+					t.Fatalf("level %d: X-CFA-Degraded %q, degraded %q, want %q", lvl, got, sr.Degraded, want)
+				}
+				for i, rr := range sr.Results {
+					x, err := b.Discretizer.Transform(recs[i].Values)
+					if err != nil {
+						t.Fatal(err)
+					}
+					raw := b.Analyzer.Score(x, b.Scorer)
+					st := ref.ObserveScore(raw)
+					if math.Float64bits(rr.Score) != math.Float64bits(raw) {
+						t.Fatalf("level %d record %d: score %v != analyzer reference %v", lvl, i, rr.Score, raw)
+					}
+					if rr.Anomaly != (raw < b.Threshold) {
+						t.Fatalf("level %d record %d: anomaly %v at threshold %v", lvl, i, rr.Anomaly, b.Threshold)
+					}
+					if rr.Smoothed != st.Smoothed || rr.Alarm != st.Alarm || rr.Raised != st.Raised || rr.Cleared != st.Cleared {
+						t.Fatalf("level %d record %d: verdict %+v != stream reference %+v", lvl, i, rr, st)
+					}
+				}
+				if got := s.streams.len(); got != 1 {
+					t.Fatalf("level %d: %d streams, want 1", lvl, got)
+				}
+			}
+			if lvl2 := s.met.brownoutVerdicts[brownoutPreShed].Value(); lvl2 != uint64(len(recs)) {
+				t.Fatalf("level-2 verdict counter = %d, want %d", lvl2, len(recs))
+			}
+		})
+	}
+}
+
+// TestServeBootsLegacyFallbackBundle boots the service on a bundle from
+// the builds whose C4.5 bundles carried a naive-Bayes fallback: it must
+// serve, at level 2 too, the scores of the bundle's analyzer.
+func TestServeBootsLegacyFallbackBundle(t *testing.T) {
+	path := filepath.Join("..", "core", "testdata", "legacy_c45_nbfallback.bin")
+	s, err := New(Config{ModelPath: path, Logf: func(format string, args ...any) { t.Logf(format, args...) }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-
-	recs := records(16, normalRecord)
-	recs = append(recs, records(8, anomalousRecord)...)
-
-	refScore := func(an *core.Analyzer, rec Record) float64 {
-		x, err := b.Discretizer.Transform(rec.Values)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return an.Score(x, b.Scorer)
+	b := s.model.current().bundle
+	if b.Fallback != nil {
+		t.Fatal("served bundle kept its fallback")
 	}
-
 	if err := failpoint.Arm("serve/brownout", "error(2)"); err != nil {
 		t.Fatal(err)
 	}
 	defer failpoint.Disarm("serve/brownout")
 	s.brown.tick()
-
-	resp, sr := postScore(t, ts.URL, ScoreRequest{Stream: "diff", Records: recs})
-	if sr == nil {
-		t.Fatalf("level-2 score failed: %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-CFA-Degraded"); got != "nb-only" {
-		t.Fatalf("X-CFA-Degraded = %q, want nb-only", got)
-	}
-	if sr.Degraded != "nb-only" {
-		t.Fatalf("response degraded = %q, want nb-only", sr.Degraded)
-	}
-	for i, rr := range sr.Results {
-		want := refScore(b.Fallback, recs[i])
-		if rr.Score != want {
-			t.Fatalf("record %d: level-2 score %v != fallback reference %v", i, rr.Score, want)
-		}
-		if rr.Smoothed != rr.Score {
-			t.Fatalf("record %d: level-2 smoothed %v != score %v (stateless verdicts are point-in-time)", i, rr.Smoothed, rr.Score)
-		}
-		if wantAnom := want < b.FallbackThreshold; rr.Anomaly != wantAnom || rr.Alarm != wantAnom {
-			t.Fatalf("record %d: level-2 anomaly/alarm = %v/%v, want %v at fallback threshold", i, rr.Anomaly, rr.Alarm, wantAnom)
-		}
-		if rr.Raised || rr.Cleared {
-			t.Fatalf("record %d: stateless verdict carries hysteresis edges", i)
-		}
-	}
-	// Stateless scoring must not have created stream state.
-	if got := s.streams.len(); got != 0 {
-		t.Fatalf("level-2 scoring created %d streams, want 0", got)
-	}
-
-	// Back to full service: primary scores, stream state returns.
-	if err := failpoint.Arm("serve/brownout", "error(0)"); err != nil {
-		t.Fatal(err)
-	}
-	s.brown.tick()
-	resp, sr = postScore(t, ts.URL, ScoreRequest{Stream: "diff", Records: recs})
-	if sr == nil {
-		t.Fatalf("level-0 score failed: %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-CFA-Degraded"); got != "" {
-		t.Fatalf("X-CFA-Degraded = %q after brownout exit, want empty", got)
-	}
-	if sr.Degraded != "" {
-		t.Fatalf("response degraded = %q after exit, want empty", sr.Degraded)
-	}
-	for i, rr := range sr.Results {
-		want := refScore(b.Analyzer, recs[i])
-		if rr.Score != want {
-			t.Fatalf("record %d: level-0 score %v != primary reference %v", i, rr.Score, want)
-		}
-	}
-	if got := s.streams.len(); got != 1 {
-		t.Fatalf("level-0 scoring left %d streams, want 1", got)
-	}
-	if lvl2 := s.met.brownoutVerdicts[brownoutNBOnly].Value(); lvl2 != uint64(len(recs)) {
-		t.Fatalf("level-2 verdict counter = %d, want %d", lvl2, len(recs))
-	}
-}
-
-// TestBrownoutNBOnlyWithoutFallback: a bundle with no fallback (NBC
-// primary) must keep serving primary verdicts at level 2, reported as
-// extras-off.
-func TestBrownoutNBOnlyWithoutFallback(t *testing.T) {
-	s, _ := newTestServer(t, nil) // writeTestBundle trains NBC, no fallback
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	if err := failpoint.Arm("serve/brownout", "error(2)"); err != nil {
-		t.Fatal(err)
-	}
-	defer failpoint.Disarm("serve/brownout")
-	s.brown.tick()
-
-	resp, sr := postScore(t, ts.URL, ScoreRequest{Stream: "s", Records: records(4, normalRecord)})
+	recs := records(8, normalRecord)
+	resp, sr := postScore(t, ts.URL, ScoreRequest{Stream: "legacy", Records: recs})
 	if sr == nil {
 		t.Fatalf("score failed: %d", resp.StatusCode)
 	}
-	if got := resp.Header.Get("X-CFA-Degraded"); got != "extras-off" {
-		t.Fatalf("X-CFA-Degraded = %q, want extras-off", got)
-	}
-	// Primary path still ran: stream state exists.
-	if got := s.streams.len(); got != 1 {
-		t.Fatalf("streams = %d, want 1 (no fallback means the stateful path)", got)
+	for i, rr := range sr.Results {
+		x, err := b.Discretizer.Transform(recs[i].Values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := b.Analyzer.Score(x, b.Scorer); math.Float64bits(rr.Score) != math.Float64bits(want) {
+			t.Fatalf("record %d: score %v != analyzer %v", i, rr.Score, want)
+		}
 	}
 }
 
@@ -435,7 +374,7 @@ func TestSampleStrideAIMD(t *testing.T) {
 		t.Fatalf("level after 1 calm tick past unwind = %d, want 3 (exit dwell is 2)", got)
 	}
 	s.brown.tick()
-	if got := s.brown.level(); got != brownoutNBOnly {
+	if got := s.brown.level(); got != brownoutPreShed {
 		t.Fatalf("level after exit dwell = %d, want 2", got)
 	}
 }

@@ -360,8 +360,8 @@ func TestScoreBatchEndToEndAgainstRealServe(t *testing.T) {
 func TestDegradedResponsesAreSuccessesNotRetries(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-CFA-Degraded", "nb-only")
-		w.Write([]byte(`{"stream":"s","model_version":1,"results":[{"score":0.9,"smoothed":0.9}],"degraded":"nb-only"}`))
+		w.Header().Set("X-CFA-Degraded", "extras-off")
+		w.Write([]byte(`{"stream":"s","model_version":1,"results":[{"score":0.9,"smoothed":0.9}],"degraded":"extras-off"}`))
 	}))
 	t.Cleanup(ts.Close)
 	c, slept := testClient(t, ts, nil)
@@ -370,8 +370,8 @@ func TestDegradedResponsesAreSuccessesNotRetries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded 200 returned error: %v", err)
 	}
-	if sr.Degraded != "nb-only" {
-		t.Fatalf("response Degraded = %q, want nb-only", sr.Degraded)
+	if sr.Degraded != "extras-off" {
+		t.Fatalf("response Degraded = %q, want extras-off", sr.Degraded)
 	}
 	attempts, retries, _ := c.Stats()
 	if attempts != 1 || retries != 0 {

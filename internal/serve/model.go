@@ -22,10 +22,6 @@ var fpReload = failpoint.At("serve/reload")
 type loadedModel struct {
 	bundle   *core.Bundle
 	detector *core.Detector
-	// fallback is the bundle's cheap NB detector, compiled at load for
-	// brownout level-2 scoring; nil when the bundle carries none (NBC
-	// primaries are already the cheap kernel).
-	fallback *core.Detector
 	version  uint64
 	loadedAt time.Time
 	// compile records the flat-form kernel build that ran at load time —
@@ -82,17 +78,10 @@ func (h *modelHolder) reload() error {
 	// Compile the analyzer's flat inference kernels once per generation,
 	// before the swap, so no request pays the compile.
 	cs := b.Analyzer.Compile()
-	fb := b.FallbackDetector()
-	if fb != nil {
-		// The whole point of the fallback is cheap inference under
-		// overload, so its kernels are compiled at load like the primary's.
-		fb.Analyzer.Compile()
-	}
 	h.version++
 	h.cur.Store(&loadedModel{
 		bundle:   b,
 		detector: b.Detector(),
-		fallback: fb,
 		version:  h.version,
 		loadedAt: time.Now(),
 		compile:  cs,

@@ -263,8 +263,9 @@ type RecordResult struct {
 
 // ScoreResponse is the reply to a ScoreRequest. Degraded, when non-empty,
 // names the brownout mode the verdicts were served under (it mirrors the
-// X-CFA-Degraded header): "extras-off", "nb-only", or either with "+shed"
-// appended. Full-fidelity responses omit it.
+// X-CFA-Degraded header): "extras-off", with "+shed" appended at level 3.
+// The scores themselves come from the bundle's analyzer at every level.
+// Full-fidelity responses omit it.
 type ScoreResponse struct {
 	Stream       string         `json:"stream"`
 	ModelVersion uint64         `json:"model_version"`
@@ -764,7 +765,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.scored.Add(uint64(scored))
-	degraded := degradedMode(lvl, lm.fallback != nil)
+	degraded := degradedMode(lvl)
 	tr.RT.Degraded = degraded
 	if degraded != "" {
 		w.Header().Set(degradedHeader, degraded)
@@ -807,8 +808,7 @@ func (s *Server) gateEnter(w http.ResponseWriter) (exit func(), ok bool) {
 		exit()
 		s.met.shed.Inc()
 		s.met.brownoutShed.Inc()
-		lm := s.model.current()
-		w.Header().Set(degradedHeader, degradedMode(s.brown.level(), lm != nil && lm.fallback != nil))
+		w.Header().Set(degradedHeader, degradedMode(s.brown.level()))
 		s.shedReplyEst(w, "serve: overloaded, sample-shedding at brownout level 3")
 		return nil, false
 	}

@@ -17,6 +17,7 @@ import (
 
 	"crossfeature/internal/core"
 	"crossfeature/internal/features"
+	"crossfeature/internal/ml"
 	"crossfeature/internal/ml/nbayes"
 	"crossfeature/internal/obs"
 )
@@ -28,6 +29,12 @@ var testFeatureNames = []string{"a", "b", "c", "d"}
 // discretizer, naive Bayes ensemble) and writes it to path.
 func writeTestBundle(t testing.TB, path string) *core.Bundle {
 	t.Helper()
+	return writeTestBundleOf(t, path, nbayes.NewLearner())
+}
+
+// writeTestBundleOf is writeTestBundle with the ensemble trained by l.
+func writeTestBundleOf(t testing.TB, path string, l ml.Learner) *core.Bundle {
+	t.Helper()
 	rows := normalRows(120)
 	disc, err := features.Fit(rows, testFeatureNames, features.FitOptions{Buckets: 3, Seed: 1})
 	if err != nil {
@@ -37,7 +44,7 @@ func writeTestBundle(t testing.TB, path string) *core.Bundle {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := core.Train(ds, nbayes.NewLearner(), core.TrainOptions{})
+	a, err := core.Train(ds, l, core.TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
