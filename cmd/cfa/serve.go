@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -17,9 +18,21 @@ import (
 	"crossfeature/internal/serve"
 )
 
+// serveGCPercent is the collector target `cfa serve` runs at when GOGC is
+// unset. The service keeps little live heap (a C4.5 bundle's analyzer
+// and the stream table come to a few MB) while every 128-record batch
+// leaves several hundred KB of garbage, so at Go's default of 100 the
+// 4 MB minimum heap goal collects every few requests. On the serve-batch
+// benchmark that cost about a fifth of server CPU per record
+// (EXPERIMENTS.md "Brownout without the naive-Bayes fallback").
+const serveGCPercent = 200
+
 // serveCmd runs the hardened scoring service until SIGINT or SIGTERM
 // triggers a graceful drain. SIGHUP hot-reloads the model file.
 func serveCmd(args []string, w io.Writer) error {
+	if _, set := os.LookupEnv("GOGC"); !set {
+		debug.SetGCPercent(serveGCPercent)
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	return runServe(ctx, args, w)
