@@ -126,9 +126,9 @@ func ReadFrame(r io.Reader, magic string, version uint16) ([]byte, error) {
 	// Read at most one chunk past what has arrived, so a payload up to
 	// frameChunk takes one exact allocation and a header that overstates
 	// its payload costs at most one chunk.
-	var payload []byte
-	for rem := length; rem > 0; {
-		step := int(min(rem, frameChunk))
+	payload := make([]byte, 0, min(length, frameChunk))
+	for uint64(len(payload)) < length {
+		step := int(min(length-uint64(len(payload)), frameChunk))
 		payload = slices.Grow(payload, step)
 		n, err := io.ReadFull(r, payload[len(payload):len(payload)+step])
 		payload = payload[:len(payload)+n]
@@ -138,7 +138,6 @@ func ReadFrame(r io.Reader, magic string, version uint16) ([]byte, error) {
 		case err != nil:
 			return nil, fmt.Errorf("%w: reading payload: %v", ErrSnapshotCorrupt, err)
 		}
-		rem -= uint64(step)
 	}
 	if extra, _ := io.CopyN(io.Discard, r, 1); extra != 0 {
 		return nil, fmt.Errorf("%w: trailing data after %d-byte payload", ErrSnapshotCorrupt, length)

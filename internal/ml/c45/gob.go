@@ -53,7 +53,7 @@ func (t *Tree) GobEncode() ([]byte, error) {
 // maxSplitCard bounds the children span a decoded node may declare, so a
 // corrupt payload cannot size a huge allocation before anything checks
 // it. Attribute cardinalities are the discretiser's buckets + 4 (9 at the
-// paper's five buckets); no tree Fit grows splits one this wide.
+// paper's five buckets), so a wider span would take over 4,092 buckets.
 const maxSplitCard = 1 << 12
 
 // GobDecode implements gob.GobDecoder. It rejects every encoding

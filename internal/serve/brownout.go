@@ -14,13 +14,11 @@ package serve
 //     admission in units of work, so this is a concurrency limiter in
 //     records rather than requests.
 //
-//   - Brownout: under *sustained* overload the service degrades verdict
-//     fidelity stepwise instead of shedding harder — level 1 drops
+//   - Brownout: under *sustained* overload the service gives up work
+//     stepwise instead of shedding harder — level 1 drops
 //     Explain-style extras (per-feature metrics), level 2 keeps them off
 //     and is the last dwell before shedding, level 3 additionally
 //     sample-and-sheds at the door, admitting one request in admitEvery.
-//     Every level scores through the bundle's one analyzer and keeps
-//     per-stream EWMA/hysteresis state.
 //     The fraction is itself adaptive: hot ticks widen the stride
 //     multiplicatively, calm ticks narrow it by one, so the door matches
 //     whatever the overload ratio turns out to be — a fixed 50% cannot
@@ -33,7 +31,9 @@ package serve
 //     premature exit just re-admits the storm. Degraded verdicts are
 //     explicit: an X-CFA-Degraded header and a "degraded" response field
 //     name the mode, so a client can always tell a full verdict from a
-//     brownout one.
+//     brownout one. No level changes the scores: every level scores
+//     through the bundle's one analyzer and keeps per-stream
+//     EWMA/hysteresis state.
 //
 //     The controller's evidence is involuntary shedding (queue or budget
 //     overflow, gate refusals, queue timeouts) and the projected
