@@ -1,10 +1,12 @@
 GO ?= go
 
-.PHONY: ci build test vet race short fuzz fuzz-smoke bench bench-train bench-score bench-serve bench-sim bench-vet serve-smoke train-smoke score-smoke sim-smoke score-diff fmt serve-chaos crash-chaos obs-smoke loadgen-smoke metrics-lint
+.PHONY: ci build test vet race short fuzz fuzz-smoke bench bench-train bench-score bench-serve bench-sim bench-vet serve-smoke train-smoke score-smoke sim-smoke score-diff fmt deps-lint serve-chaos crash-chaos obs-smoke loadgen-smoke metrics-lint
 
-# ci is the full gate: formatting and static analysis, a clean build of
-# every package and the test suite under the race detector, plus a smoke
-# pass over the training-path differential tests, a one-iteration spin of
+# ci is the full gate: formatting and static analysis, a check that every
+# internal package is reached by a binary, an example, the root package
+# or the bench module (deps-lint), a clean build of every package and the
+# test suite under the race detector, plus a smoke pass over the
+# training-path differential tests, a one-iteration spin of
 # the training benchmarks so a broken fast path fails fast, the compiled
 # scoring-kernel differential suite, a one-iteration spin of the
 # single-row scoring benchmark and of the simulator benchmarks, a soak of
@@ -15,12 +17,22 @@ GO ?= go
 # the metrics naming/statz-drift lint, a short budget for the decoder and
 # scoring fuzz targets, and a vet and short test pass over the separate
 # bench module.
-ci: fmt vet build race train-smoke score-diff score-smoke sim-smoke serve-chaos crash-chaos serve-smoke obs-smoke loadgen-smoke metrics-lint fuzz-smoke bench-vet
+ci: fmt vet deps-lint build race train-smoke score-diff score-smoke sim-smoke serve-chaos crash-chaos serve-smoke obs-smoke loadgen-smoke metrics-lint fuzz-smoke bench-vet
 
 # fmt fails (listing the offenders) if any file is not gofmt-clean.
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# deps-lint lists every package under internal/ that no `go list -deps`
+# of the binaries, the examples, the root package or the bench module
+# reaches, and fails if there is one: such a package is code that nothing
+# runs. It needs only `go list`, so it runs offline.
+deps-lint:
+	@reached=$$($(GO) list -deps ./cmd/... ./examples/... . && cd bench && $(GO) list -deps ./...) || exit 1; \
+	out=$$($(GO) list ./internal/... | grep -vxF "$$reached"); \
+	if [ -n "$$out" ]; then echo "$$out"; \
+		echo "deps-lint: no binary, example, root package or bench module reaches the packages above" >&2; exit 1; fi
 
 # serve-chaos soaks the scoring-service chaos tests (overload bursts,
 # corrupt reloads, slow/aborted clients, drain) under the race detector;
@@ -202,6 +214,8 @@ fuzz:
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseTraceContext$$' -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzScoreEvents$$' -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzLoadBundle$$' -fuzztime 10s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 10s
 	$(GO) test ./internal/ml/c45/ -run '^$$' -fuzz '^FuzzC45Fit$$' -fuzztime 10s
 	$(GO) test ./internal/ml/ripper/ -run '^$$' -fuzz '^FuzzRipperFit$$' -fuzztime 10s
 
@@ -209,8 +223,10 @@ fuzz:
 # decoders against their encoding/json oracle, the counting discretiser
 # against its binary-search oracle, the trace-header parser, compiled
 # single-row scoring and Explain against the oracle combination rules,
-# the bundle loader on gob payloads past the frame checksum, and the C4.5
-# and RIPPER fits against their row-major oracles.
+# the bundle loader on gob payloads past the frame checksum, the frame
+# reader and the checkpoint payload decoder (with its per-state check)
+# against their encoders, and the C4.5 and RIPPER fits against their
+# row-major oracles.
 fuzz-smoke:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeScoreRequest$$' -fuzztime 3s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeBatchRequest$$' -fuzztime 3s
@@ -218,5 +234,7 @@ fuzz-smoke:
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseTraceContext$$' -fuzztime 3s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzScoreEvents$$' -fuzztime 3s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzLoadBundle$$' -fuzztime 3s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 3s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 3s
 	$(GO) test ./internal/ml/c45/ -run '^$$' -fuzz '^FuzzC45Fit$$' -fuzztime 3s
 	$(GO) test ./internal/ml/ripper/ -run '^$$' -fuzz '^FuzzRipperFit$$' -fuzztime 3s

@@ -379,6 +379,20 @@ func TestLoadgenSweep(t *testing.T) {
 	// Past saturation, what adaptive serves it serves in time; static
 	// keeps accepting, latency diverges, and its raw goodput stops
 	// being goodput at all.
+	//
+	// Both static-baseline assertions below fail as written: on a 2-vCPU
+	// host they failed in every recorded run, before and after the
+	// naive-Bayes fallback was retired (CHANGES.md). The likely cause is
+	// in the code, not the load. sweepServeFlags sets -timeout 500ms;
+	// RequestTimeout covers the wait in the admission queue; and admitN
+	// answers a request that outwaits it with ErrQueueTimeout, a 503,
+	// which loadgen counts as an error. So every record the static
+	// server does score was served within about 0.5 s plus transport,
+	// inside the 1 s SLO, and sloFrac over scored records reads about 1
+	// at any load: the late work shows up as 503s, which the fraction
+	// never counts. A sweep that judges overload control should compare
+	// within-SLO goodput per second of offered load, so that 503s count
+	// as lost (ROADMAP item 3(b)).
 	af := sloFrac(adaptive.Points[1], adaptive.Points[2])
 	sf := sloFrac(static.Points[1], static.Points[2])
 	if af <= sf {

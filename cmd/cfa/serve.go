@@ -74,7 +74,6 @@ func runServe(ctx context.Context, args []string, w io.Writer) error {
 	accessLogSample := fs.Int("access-log-sample", 1, "log one request in N (widened 4x per brownout level)")
 	sloLatency := fs.Duration("slo", time.Second, "latency SLO for burn-rate accounting (negative disables the monitor)")
 	sloObjective := fs.Float64("slo-objective", 0.99, "fraction of records that must be served within the SLO")
-	sloEvidence := fs.Bool("slo-evidence", false, "let sustained fast-burn on both SLO windows count as brownout overload evidence")
 	flightTraces := fs.Int("flight-traces", 0, "request traces the flight recorder retains (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -135,7 +134,6 @@ func runServe(ctx context.Context, args []string, w io.Writer) error {
 		AccessLogSample: *accessLogSample,
 		SLOLatency:      *sloLatency,
 		SLOObjective:    *sloObjective,
-		SLOBurnEvidence: *sloEvidence,
 		FlightTraceCap:  *flightTraces,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "cfa serve: "+format+"\n", args...)

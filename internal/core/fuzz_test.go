@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"flag"
 	"math"
 	"math/rand"
@@ -159,5 +160,49 @@ func FuzzLoadBundle(f *testing.F) {
 			rows[i] = x
 		}
 		a.ScoreAll(ml.DatasetOf(a.Attrs, rows), b.Scorer)
+	})
+}
+
+// FuzzReadFrame feeds whole files to ReadFrame, the envelope every bundle,
+// CFAC checkpoint and CFAF flight dump is read through. It must never
+// panic; a rejection wraps ErrSnapshotFormat or ErrSnapshotCorrupt; and an
+// accepted frame is canonical: WriteFrame with the same magic, version and
+// payload reproduces the input byte for byte. Seeds: a snapshot of
+// testBundle, the header-only 1 GiB frame of TestReadFrameBoundsAllocation,
+// and truncations of both.
+func FuzzReadFrame(f *testing.F) {
+	var bundle bytes.Buffer
+	if err := WriteSnapshot(&bundle, testBundle(f)); err != nil {
+		f.Fatal(err)
+	}
+	var huge [FrameHeaderLen]byte
+	copy(huge[:4], snapshotMagic)
+	binary.BigEndian.PutUint16(huge[4:6], snapshotVersion)
+	binary.BigEndian.PutUint64(huge[10:18], 1<<30)
+	for _, file := range [][]byte{bundle.Bytes(), huge[:]} {
+		// Every cut inside the header, then a few inside the payload.
+		for cut := 0; cut < min(len(file), FrameHeaderLen+2); cut++ {
+			f.Add(file[:cut])
+		}
+		f.Add(file[:len(file)/2])
+		f.Add(file[:len(file)-1])
+		f.Add(file)
+	}
+
+	f.Fuzz(func(t *testing.T, file []byte) {
+		payload, err := ReadFrame(bytes.NewReader(file), snapshotMagic, snapshotVersion)
+		if err != nil {
+			if !errors.Is(err, ErrSnapshotFormat) && !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("rejection %v wraps neither ErrSnapshotFormat nor ErrSnapshotCorrupt", err)
+			}
+			return
+		}
+		var again bytes.Buffer
+		if err := WriteFrame(&again, snapshotMagic, snapshotVersion, payload); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), file) {
+			t.Fatalf("accepted frame is not canonical: %d input bytes re-frame to %d", len(file), again.Len())
+		}
 	})
 }

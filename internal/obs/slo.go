@@ -4,10 +4,11 @@ package obs
 // Google-SRE alerting shape: the burn rate over a window is the observed
 // bad-record fraction divided by the SLO's error budget (1 - objective).
 // A burn rate of 1 spends the budget exactly at the sustainable pace; a
-// rate of 14.4 exhausts a 30-day budget in two days. Alerting (and the
-// brownout controller's optional evidence hook) requires BOTH a short
-// and a long window to burn hot, so a brief spike (short hot, long cool)
-// and old history (long hot, short cool) both stay quiet.
+// rate of 14.4 exhausts a 30-day budget in two days. Alerting requires
+// BOTH a short and a long window to burn hot, so a brief spike (short
+// hot, long cool) and old history (long hot, short cool) both stay quiet.
+// The monitor is observability only: nothing in the server reads it back
+// as a control input.
 //
 // The monitor is a ring of per-second buckets. Observe is two atomic adds
 // on the current second's slot plus one epoch check; BurnRate walks the
@@ -26,12 +27,6 @@ import (
 // sloWindowSlots is the ring horizon in seconds; windows beyond it are
 // truncated (the monitor's longest supported window is one hour).
 const sloWindowSlots = 3600
-
-// FastBurnThreshold is the conventional page-worthy burn rate: spending
-// ~2% of a 30-day error budget within one hour (Google SRE workbook's
-// 14.4x multiplier). Exported so alerting config and the brownout
-// evidence hook cite one constant.
-const FastBurnThreshold = 14.4
 
 type sloSlot struct {
 	sec         atomic.Int64

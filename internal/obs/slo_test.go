@@ -7,6 +7,11 @@ import (
 	"time"
 )
 
+// fastBurnThreshold is the conventional page-worthy burn rate: spending
+// ~2% of a 30-day error budget within one hour (the Google SRE workbook's
+// 14.4x multiplier).
+const fastBurnThreshold = 14.4
+
 // sloClock drives an SLOMonitor deterministically.
 type sloClock struct {
 	mu  sync.Mutex
@@ -92,7 +97,7 @@ func TestSLOMultiWindowDivergence(t *testing.T) {
 	m.Observe(0, 100)
 	short := m.BurnRate(5 * time.Minute)
 	long := m.BurnRate(time.Hour)
-	if short <= FastBurnThreshold {
+	if short <= fastBurnThreshold {
 		t.Fatalf("short-window burn %v should exceed the fast-burn threshold", short)
 	}
 	if long >= short {

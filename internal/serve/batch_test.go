@@ -72,6 +72,9 @@ func TestScoreBatchPartialFailure(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("partial failure status = %d, want 200 with per-item errors", resp.StatusCode)
 	}
+	if len(br.Items) != 3 {
+		t.Fatalf("items = %d, want one per request item", len(br.Items))
+	}
 	if br.Items[0].Error != "" || len(br.Items[0].Results) != 3 {
 		t.Errorf("good item degraded: %+v", br.Items[0])
 	}

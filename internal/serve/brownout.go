@@ -50,7 +50,6 @@ import (
 	"sync/atomic"
 
 	"crossfeature/internal/failpoint"
-	"crossfeature/internal/obs"
 )
 
 // fpBrownout forces controller transitions without real load, for the
@@ -95,10 +94,8 @@ type overloadController struct {
 	logf func(format string, args ...any)
 
 	// event, when set, records level transitions into the flight
-	// recorder; slo, when set, contributes burn-rate evidence to the
-	// overload signal (both optional, wired by New).
+	// recorder (optional, wired by New).
 	event func(kind, detail string)
-	slo   *obs.SLOMonitor
 
 	// target is the projected queue-drain time past which a tick counts
 	// as hot; tickEvery the controller cadence.
@@ -289,19 +286,6 @@ func (c *overloadController) overloadSignal() tickEvidence {
 		if drainNanos > float64(c.target.Nanoseconds()) {
 			ev.hot, ev.budgetHot = true, true
 		}
-	}
-	// SLO-burn evidence (opt-in, -slo-evidence): when BOTH alerting
-	// windows burn past the fast-burn threshold, the error budget is
-	// disappearing on the timescale operators page on — count it as
-	// latency pressure even if the queue projection looks fine (slow
-	// responses that still answer in time to dodge the drain check burn
-	// budget without tripping either signal above). Requiring the long
-	// window too keeps a brief spike — or the controller's own shedding
-	// during a single hot dwell — from self-sustaining the signal.
-	if c.slo != nil &&
-		c.slo.BurnRate(5*time.Minute) >= obs.FastBurnThreshold &&
-		c.slo.BurnRate(time.Hour) >= obs.FastBurnThreshold {
-		ev.hot, ev.budgetHot = true, true
 	}
 	return ev
 }

@@ -142,12 +142,6 @@ type Config struct {
 	// SLOObjective is the availability objective (target good fraction)
 	// the burn rate is normalised by. Default 0.99.
 	SLOObjective float64
-	// SLOBurnEvidence, when set, lets the brownout controller consume the
-	// burn-rate monitor as overload evidence: both the 5m and 1h windows
-	// burning past obs.FastBurnThreshold count a tick as hot. Off by
-	// default — the monitor observes shed traffic, so this loop is
-	// partially self-referential and is opt-in until proven out.
-	SLOBurnEvidence bool
 	// FlightTraceCap bounds the flight recorder's completed-trace ring
 	// (events have their own equal-sized ring). Default 256.
 	FlightTraceCap int
@@ -443,9 +437,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.alog = newAccessLog(cfg.AccessLog, cfg.AccessLogSample, s.brown.level, met.accessLogLines, met.accessLogDropped)
 	s.brown.event = s.flightEvent
-	if cfg.SLOBurnEvidence && s.slo != nil {
-		s.brown.slo = s.slo
-	}
 	met.registerGauges(s)
 	if err := s.model.reload(); err != nil {
 		return nil, err

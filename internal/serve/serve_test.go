@@ -161,6 +161,9 @@ func TestScoreEndpoint(t *testing.T) {
 	if len(sr.Results) != 20 {
 		t.Fatalf("results = %d, want 20", len(sr.Results))
 	}
+	if sr.Stream != "node-1" {
+		t.Errorf("response stream = %q, want the request's node-1", sr.Stream)
+	}
 	if sr.ModelVersion != 1 {
 		t.Errorf("model version = %d, want 1", sr.ModelVersion)
 	}
