@@ -71,14 +71,6 @@ func NewTraceContext() TraceContext {
 	return TraceContext{Hi: nextID(), Lo: nextID(), Span: nextID(), Sampled: true}
 }
 
-// NewSpan returns a copy of tc with a fresh span id — one per retry
-// attempt, so the server-side timelines of two attempts of the same
-// logical call stay distinguishable under the shared trace id.
-func (tc TraceContext) NewSpan() TraceContext {
-	tc.Span = nextID()
-	return tc
-}
-
 // Valid reports whether tc carries a usable trace id.
 func (tc TraceContext) Valid() bool { return tc.Hi != 0 || tc.Lo != 0 }
 

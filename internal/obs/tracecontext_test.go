@@ -65,17 +65,6 @@ func TestContextFromHeaderMintsOnGarbage(t *testing.T) {
 	}
 }
 
-func TestNewSpanKeepsTraceID(t *testing.T) {
-	tc := NewTraceContext()
-	span := tc.NewSpan()
-	if span.TraceID() != tc.TraceID() {
-		t.Fatal("NewSpan changed the trace id")
-	}
-	if span.Span == tc.Span {
-		t.Fatal("NewSpan did not change the span id")
-	}
-}
-
 func TestNextIDUnique(t *testing.T) {
 	seen := make(map[uint64]bool, 1000)
 	for i := 0; i < 1000; i++ {
