@@ -71,7 +71,7 @@ func train(args []string, w io.Writer) error {
 	warmup := fs.Float64("warmup", 900, "seconds of trace to skip while windows fill")
 	far := fs.Float64("false-alarm-rate", 0.02, "calibration false-alarm rate")
 	scorer := fs.String("scorer", "probability", "combination rule: probability or matchcount")
-	parallel := fs.Int("parallel", 0, "sub-model training parallelism (0 = GOMAXPROCS)")
+	parallel := fs.Int("parallel", 0, "workers for the sub-model fits and the normal-level pass (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
