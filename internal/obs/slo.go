@@ -15,11 +15,14 @@ package obs
 // window's slots at read time. Slots are reclaimed lazily: a slot whose
 // stamped second has fallen out of the ring's horizon is reset by the
 // next writer that lands on it, and readers skip slots outside their
-// window. Concurrent writers racing a slot's epoch turnover can attribute
-// a handful of records to the adjacent second — harmless at the 5-minute
-// granularity anything reads this at.
+// window. The resetting writer stamps the slot claimed before it zeroes
+// the counters and publishes the new second only after, so a writer of
+// the same second waits out the reset instead of adding to counters about
+// to be zeroed.
 
 import (
+	"math"
+	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -59,17 +62,29 @@ func NewSLOMonitor(objective float64) *SLOMonitor {
 // Objective reports the configured good-fraction target.
 func (m *SLOMonitor) Objective() float64 { return m.objective }
 
-// slotFor claims the slot for the current second, resetting it if its
-// epoch is stale. The CAS winner zeroes the counters; a racing loser adds
-// to the fresh slot (or, across the turnover instant, the dying one —
-// bounded noise, see the package comment).
+// sloClaimed is the epoch of a slot a writer is resetting. It lies before
+// every window, so readers skip the slot meanwhile.
+const sloClaimed = math.MinInt64
+
+// slotFor returns the slot for second sec, resetting it first if its
+// epoch is stale. The writer whose CAS claims a stale slot zeroes the
+// counters and only then stamps sec; a writer that finds the slot claimed
+// yields until the stamp lands, so no count is added before the reset.
 func (m *SLOMonitor) slotFor(sec int64) *sloSlot {
 	s := &m.slots[uint64(sec)%uint64(len(m.slots))]
-	if old := s.sec.Load(); old != sec && s.sec.CompareAndSwap(old, sec) {
-		s.good.Store(0)
-		s.total.Store(0)
+	for {
+		switch old := s.sec.Load(); {
+		case old == sec:
+			return s
+		case old == sloClaimed:
+			runtime.Gosched()
+		case s.sec.CompareAndSwap(old, sloClaimed):
+			s.good.Store(0)
+			s.total.Store(0)
+			s.sec.Store(sec)
+			return s
+		}
 	}
-	return s
 }
 
 // Observe records total outcomes of which good met the SLO.
