@@ -203,28 +203,29 @@ func (o *OnlineDetector) AppendState(buf []byte) []byte {
 }
 
 // RestoreState overwrites the detector's state from a blob written by
-// AppendState, validating it first: a detector must never come back with
-// a NaN EWMA or negative hysteresis runs, whatever the file said. The
-// underlying Detector is untouched. Returns the bytes after the blob.
-func (o *OnlineDetector) RestoreState(data []byte) ([]byte, error) {
-	if len(data) < OnlineStateLen {
-		return nil, fmt.Errorf("%w: %d bytes, want %d", ErrOnlineState, len(data), OnlineStateLen)
+// AppendState, validating it first: the blob must be exactly one
+// OnlineStateLen encoding, and a detector must never come back with a NaN
+// EWMA or negative hysteresis runs, whatever the file said. The
+// underlying Detector is untouched.
+func (o *OnlineDetector) RestoreState(data []byte) error {
+	if len(data) != OnlineStateLen {
+		return fmt.Errorf("%w: %d bytes, want %d", ErrOnlineState, len(data), OnlineStateLen)
 	}
 	if data[0] != onlineStateVersion {
-		return nil, fmt.Errorf("%w: state version %d, this build reads %d", ErrOnlineState, data[0], onlineStateVersion)
+		return fmt.Errorf("%w: state version %d, this build reads %d", ErrOnlineState, data[0], onlineStateVersion)
 	}
 	flags := data[1]
 	if flags&^3 != 0 {
-		return nil, fmt.Errorf("%w: unknown flag bits %#x", ErrOnlineState, flags)
+		return fmt.Errorf("%w: unknown flag bits %#x", ErrOnlineState, flags)
 	}
 	ewma := math.Float64frombits(binary.BigEndian.Uint64(data[2:10]))
 	smoothing := math.Float64frombits(binary.BigEndian.Uint64(data[10:18]))
 	initialized := flags&1 != 0
 	if initialized && (math.IsNaN(ewma) || math.IsInf(ewma, 0)) {
-		return nil, fmt.Errorf("%w: non-finite ewma %v", ErrOnlineState, ewma)
+		return fmt.Errorf("%w: non-finite ewma %v", ErrOnlineState, ewma)
 	}
 	if math.IsNaN(smoothing) || smoothing < 0 || smoothing > 1 {
-		return nil, fmt.Errorf("%w: smoothing %v out of [0,1]", ErrOnlineState, smoothing)
+		return fmt.Errorf("%w: smoothing %v out of [0,1]", ErrOnlineState, smoothing)
 	}
 	anomRun := binary.BigEndian.Uint32(data[18:22])
 	normRun := binary.BigEndian.Uint32(data[22:26])
@@ -232,7 +233,7 @@ func (o *OnlineDetector) RestoreState(data []byte) ([]byte, error) {
 	clearAfter := binary.BigEndian.Uint32(data[30:34])
 	const maxRun = 1 << 30 // far past any plausible hysteresis setting
 	if anomRun > maxRun || normRun > maxRun || raiseAfter > maxRun || clearAfter > maxRun {
-		return nil, fmt.Errorf("%w: implausible hysteresis values", ErrOnlineState)
+		return fmt.Errorf("%w: implausible hysteresis values", ErrOnlineState)
 	}
 	o.initialized = initialized
 	o.alarm = flags&2 != 0
@@ -245,7 +246,7 @@ func (o *OnlineDetector) RestoreState(data []byte) ([]byte, error) {
 	o.records = binary.BigEndian.Uint64(data[34:42])
 	o.alarms = binary.BigEndian.Uint64(data[42:50])
 	o.invalid = binary.BigEndian.Uint64(data[50:58])
-	return data[OnlineStateLen:], nil
+	return nil
 }
 
 // Reset returns the detector to its initial state.

@@ -306,12 +306,8 @@ func TestOnlineStateRoundTrip(t *testing.T) {
 		t.Fatalf("state blob = %d bytes, want %d", len(blob), OnlineStateLen)
 	}
 	restored := NewOnlineDetector(o.det)
-	rest, err := o.AppendState(nil), error(nil)
-	if rest, err = restored.RestoreState(rest); err != nil {
+	if err := restored.RestoreState(blob); err != nil {
 		t.Fatal(err)
-	}
-	if len(rest) != 0 {
-		t.Fatalf("restore left %d bytes", len(rest))
 	}
 	if restored.Smoothing != o.Smoothing || restored.RaiseAfter != o.RaiseAfter || restored.ClearAfter != o.ClearAfter {
 		t.Errorf("knobs lost: %+v", restored)
@@ -365,6 +361,7 @@ func TestOnlineStateRejectsDamage(t *testing.T) {
 	for name, data := range map[string][]byte{
 		"empty":           nil,
 		"short":           good[:OnlineStateLen-1],
+		"long":            append(append([]byte(nil), good...), 0),
 		"bad version":     badVersion,
 		"unknown flags":   badFlags,
 		"nan ewma":        nanEwma,
@@ -372,7 +369,7 @@ func TestOnlineStateRejectsDamage(t *testing.T) {
 		"implausible run": hugeRun,
 	} {
 		fresh := NewOnlineDetector(o.det)
-		if _, err := fresh.RestoreState(data); !errors.Is(err, ErrOnlineState) {
+		if err := fresh.RestoreState(data); !errors.Is(err, ErrOnlineState) {
 			t.Errorf("%s: error = %v, want ErrOnlineState", name, err)
 		}
 		// The detector must stay usable after a rejected restore.
@@ -387,7 +384,7 @@ func TestOnlineStateUninitializedEwma(t *testing.T) {
 	fresh := NewOnlineDetector(o.det)
 	blob := fresh.AppendState(nil)
 	restored := NewOnlineDetector(o.det)
-	if _, err := restored.RestoreState(blob); err != nil {
+	if err := restored.RestoreState(blob); err != nil {
 		t.Fatal(err)
 	}
 	x := normal()

@@ -259,7 +259,7 @@ func (s *Server) restoreCheckpoint() (outcome string, restored int, err error) {
 	slab := core.NewOnlineDetectors(lm.detector, len(states))
 	for si, st := range states {
 		od := &slab[si]
-		if rerr := restoreStreamState(od, st.state); rerr != nil {
+		if rerr := od.RestoreState(st.state); rerr != nil {
 			// CRC passed but a state blob fails validation: an encoder bug
 			// or a version skew inside one entry. Skip the stream — it
 			// restarts cold — and keep restoring the rest.
@@ -274,19 +274,6 @@ func (s *Server) restoreCheckpoint() (outcome string, restored int, err error) {
 	}
 	s.met.streamsRestored.Add(uint64(restored))
 	return "restored", restored, nil
-}
-
-// restoreStreamState restores od from one checkpoint entry's state blob.
-// The blob must be exactly one AppendState encoding: RestoreState alone
-// accepts a longer blob and ignores its tail, and no encoder writes one,
-// so a state of any other length is rejected like any other blob that
-// fails validation.
-func restoreStreamState(od *core.OnlineDetector, state []byte) error {
-	if len(state) != core.OnlineStateLen {
-		return fmt.Errorf("%w: %d bytes, want %d", core.ErrOnlineState, len(state), core.OnlineStateLen)
-	}
-	_, err := od.RestoreState(state)
-	return err
 }
 
 // runCheckpointLoop writes checkpoints every interval until ctx is done.

@@ -563,9 +563,9 @@ func TestRunPeriodicCheckpoint(t *testing.T) {
 // CRC-valid frame carries) to decodeCheckpoint. It must never panic; a
 // rejection wraps core.ErrSnapshotCorrupt; an accepted payload is
 // canonical, so encodeCheckpoint reproduces it byte for byte; and every
-// decoded state goes through restoreStreamState, the restore loop's
-// per-state check, which accepts exactly the core.OnlineStateLen blobs
-// AppendState reproduces. Seeds: a three-stream payload, its truncations
+// decoded state goes through RestoreState, the restore loop's per-state
+// check, which accepts exactly the core.OnlineStateLen blobs AppendState
+// reproduces. Seeds: a three-stream payload, its truncations
 // (the truncation sweep's cuts, inside the frame) and the same payload
 // with one state a byte too long.
 func FuzzDecodeCheckpoint(f *testing.F) {
@@ -590,7 +590,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		}
 		var od core.OnlineDetector
 		for _, st := range states {
-			if err := restoreStreamState(&od, st.state); err != nil {
+			if err := od.RestoreState(st.state); err != nil {
 				if !errors.Is(err, core.ErrOnlineState) {
 					t.Fatalf("stream %q: rejection %v does not wrap ErrOnlineState", st.id, err)
 				}
@@ -638,7 +638,7 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 		// Mirror restoreCheckpoint: one detector slab for the whole table.
 		slab := core.NewOnlineDetectors(det, len(decoded))
 		for si, st := range decoded {
-			if err := restoreStreamState(&slab[si], st.state); err != nil {
+			if err := slab[si].RestoreState(st.state); err != nil {
 				b.Fatal(err)
 			}
 		}
