@@ -63,7 +63,13 @@ func ReadFlightDump(path string) (obs.FlightDump, error) {
 		return obs.FlightDump{}, err
 	}
 	defer f.Close()
-	payload, err := core.ReadFrame(f, flightMagic, flightFileVersion)
+	return decodeFlightDump(f)
+}
+
+// decodeFlightDump reads one CFAF frame from r and decodes the flight
+// dump it carries.
+func decodeFlightDump(r io.Reader) (obs.FlightDump, error) {
+	payload, err := core.ReadFrame(r, flightMagic, flightFileVersion)
 	if err != nil {
 		return obs.FlightDump{}, err
 	}

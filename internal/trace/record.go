@@ -73,6 +73,11 @@ func ReadAuditTrace(r io.Reader) (names []string, recs []AuditRecord, err error)
 	if len(names) == 0 || (len(names) == 1 && names[0] == "") {
 		return nil, nil, fmt.Errorf("trace: audit trace has no feature names")
 	}
+	// The scanner drops one carriage return before each newline, so a
+	// name ending in one would not survive WriteAuditTrace and back.
+	if strings.ContainsRune(sc.Text(), '\r') {
+		return nil, nil, fmt.Errorf("trace: audit trace feature names contain a carriage return")
+	}
 	line := 2
 	for sc.Scan() {
 		line++
