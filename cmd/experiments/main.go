@@ -49,7 +49,7 @@ func run(args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	preset := fs.String("preset", "quick", "experiment scale: quick, paper or smoke")
 	only := fs.String("only", "all", "comma-separated experiments: tables, figure1..figure6, ablations, storm, faults, multinode, olsr, all")
-	parallel := fs.Int("parallel", 0, "sub-model training parallelism (0 = GOMAXPROCS)")
+	parallel := fs.Int("parallel", 0, "workers for the sub-model fits and the normal-level pass (0 = GOMAXPROCS)")
 	workers := fs.Int("workers", 0, "concurrent experiments and trace simulations (0 = GOMAXPROCS)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")

@@ -79,7 +79,8 @@ type Preset struct {
 	PrefilterSize  int // discretiser fitting sample ("small random subset")
 	FalseAlarmRate float64
 
-	// Parallelism bounds concurrent sub-model training (0 = GOMAXPROCS).
+	// Parallelism bounds the workers of Train's sub-model fits and of the
+	// normal-level pass that follows them (0 = GOMAXPROCS).
 	Parallelism int
 
 	// Workers bounds concurrent trace simulations in the Lab's worker
