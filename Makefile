@@ -85,8 +85,13 @@ metrics-lint:
 # target (which also pins Explain), the Explain parity tests, the
 # compiled normal-level pass against its oracle, the NB footprint pin,
 # the stale-compile invalidation regression and the uncomparable-model
-# compile-cache regression. Last, ten times over under the race detector,
-# the row split of Train's normal-level pass and the training-row tallies
+# compile-cache regression. Then the bundle formats: the two snapshot
+# version 1 fixtures (C4.5 with a naive-Bayes fallback, and NBC) must
+# load and score to the digests recorded when they were written, a
+# version 2 bundle of each learner must score as the analyzer that wrote
+# it, and the Naive Bayes and C4.5 binary encodings must round-trip any
+# shape (C4.5's old flatTree form too). Last, ten times over under the
+# race detector, the row split of Train's normal-level pass and the training-row tallies
 # it keeps for ScoreAll: worker-count invariance against the serial
 # results, concurrent ScoreAll callers on one compiled analyzer, when
 # ScoreAll reads the tallies, and a worker's panic re-raised on the
@@ -96,15 +101,19 @@ score-diff:
 	$(GO) test -race -count 1 \
 		-run 'TestScoreKernelDifferential|FuzzScoreEvents|TestExplain|TestNormalLevelsMatchOracle|TestCompileStatsNaiveBayes|TestCompileInvalidation|TestCompileUncomparableModels' \
 		./internal/core/
+	$(GO) test -race -count 1 -run 'TestLegacyFallbackBundle|TestLegacyNBCBundle|TestSnapshotVersion2RoundTrip' ./internal/core/
+	$(GO) test -race -count 1 -run 'TestGobEncodingRoundTripsAnyShape|TestPreorderRoundTrip' \
+		./internal/ml/nbayes/ ./internal/ml/c45/
 	$(GO) test -race -count 10 \
 		-run 'TestRowSplitInvariance|TestScoreAllConcurrentCallers|TestTrainedScoresServeScoreAll|TestWorkerPanicReachesCaller' \
 		./internal/core/
 
-# score-smoke gives each learner's single-row scoring benchmark one
-# iteration, so `make ci` exercises the benchmark bodies (and their
-# 140-feature training) without paying for a full measurement.
+# score-smoke gives each learner's single-row scoring benchmark and its
+# load benchmark one iteration, so `make ci` exercises the benchmark
+# bodies (and their 140-feature training) without paying for a full
+# measurement.
 score-smoke:
-	$(GO) test -run '^$$' -bench '^BenchmarkScoreEvents$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^Benchmark(ScoreEvents|Load)$$' -benchtime 1x .
 
 # train-smoke re-runs each learner's differential test of Fit against its
 # test-only row-major oracle, the direct check of RIPPER's prefix pruning
@@ -170,11 +179,13 @@ bench-train:
 # single-row path (BenchmarkScoreEvents, one record per call as a
 # per-node server scores), per-record attribution (BenchmarkExplain, what
 # -feature-metrics adds), plus the C4.5 and RIPPER single-model predict
-# kernels. Append the output to the dated BENCH file when recording a
-# before/after for a scoring-path change.
+# kernels, and each learner's model load (BenchmarkLoad: core.Load plus
+# Compile of a saved analyzer, whose allocs/op is the repeatable figure).
+# Append the output to the dated BENCH file when recording a before/after
+# for a scoring-path change.
 bench-score:
 	$(GO) test -run '^$$' -timeout 30m \
-		-bench '^Benchmark(ScoreAll|ScoreEvents|Explain|C45Predict|RipperPredict)$$' \
+		-bench '^Benchmark(ScoreAll|ScoreEvents|Explain|C45Predict|RipperPredict|Load)$$' \
 		-benchmem -count 3 .
 
 # bench-sim measures the simulator alone: 20-node, 200 s AODV and DSR
@@ -228,6 +239,8 @@ fuzz:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadAuditTrace$$' -fuzztime 10s
 	$(GO) test ./internal/ml/c45/ -run '^$$' -fuzz '^FuzzC45Fit$$' -fuzztime 10s
 	$(GO) test ./internal/ml/ripper/ -run '^$$' -fuzz '^FuzzRipperFit$$' -fuzztime 10s
+	$(GO) test ./internal/ml/nbayes/ -run '^$$' -fuzz '^FuzzModelGobDecode$$' -fuzztime 10s
+	$(GO) test ./internal/ml/c45/ -run '^$$' -fuzz '^FuzzTreeGobDecode$$' -fuzztime 10s
 
 # fuzz-smoke is fuzz's short budget for `make ci`: the request-body
 # decoders against their encoding/json oracle, the counting discretiser
@@ -236,8 +249,9 @@ fuzz:
 # the bundle loader on gob payloads past the frame checksum, the frame
 # reader and the checkpoint payload decoder (with its per-state check)
 # against their encoders, the flight-dump file decoder and the audit-trace
-# reader round-tripped through their writers, and the C4.5 and RIPPER fits
-# against their row-major oracles.
+# reader round-tripped through their writers, the C4.5 and RIPPER fits
+# against their row-major oracles, and the Naive Bayes and C4.5 model
+# decoders round-tripped through their encoders.
 fuzz-smoke:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeScoreRequest$$' -fuzztime 3s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeBatchRequest$$' -fuzztime 3s
@@ -251,3 +265,5 @@ fuzz-smoke:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadAuditTrace$$' -fuzztime 3s
 	$(GO) test ./internal/ml/c45/ -run '^$$' -fuzz '^FuzzC45Fit$$' -fuzztime 3s
 	$(GO) test ./internal/ml/ripper/ -run '^$$' -fuzz '^FuzzRipperFit$$' -fuzztime 3s
+	$(GO) test ./internal/ml/nbayes/ -run '^$$' -fuzz '^FuzzModelGobDecode$$' -fuzztime 3s
+	$(GO) test ./internal/ml/c45/ -run '^$$' -fuzz '^FuzzTreeGobDecode$$' -fuzztime 3s

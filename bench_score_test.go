@@ -7,6 +7,7 @@
 package crossfeature_test
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -91,6 +92,33 @@ func BenchmarkScoreAll(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/rec")
 			})
 		}
+	}
+}
+
+// BenchmarkLoad is a model load in process, as `cfa serve` makes one at
+// boot and on every reload: core.Load of a saved paper-scale analyzer
+// plus Compile, per op. The analyzers are saved once, before the timer.
+// allocs/op is the repeatable figure; ns/op drifts with the host.
+func BenchmarkLoad(b *testing.B) {
+	_, an := scoreBench(b)
+	for _, name := range []string{"C45", "RIPPER", "NBC"} {
+		var saved bytes.Buffer
+		if err := an[name].Save(&saved); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				a, err := core.Load(bytes.NewReader(saved.Bytes()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st := a.Compile(); st.Models != a.NumModels() {
+					b.Fatalf("compiled %d of %d models", st.Models, a.NumModels())
+				}
+			}
+			b.ReportMetric(float64(saved.Len()), "bytes/snapshot")
+		})
 	}
 }
 

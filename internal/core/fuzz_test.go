@@ -121,7 +121,8 @@ func TestMain(m *testing.M) {
 // all-zero row through Score and a 9-row batch through ScoreAll (at
 // batchKernelMin rows and up the columnar side of its row-major/columnar
 // choice) without panicking. Seeds: C4.5, RIPPER and NBC bundles of
-// testBundle's shape, and the legacy bundle with a naive-Bayes fallback.
+// testBundle's shape, and the payloads of the two version 1 bundles in
+// testdata (C4.5 with a naive-Bayes fallback, and NBC).
 func FuzzLoadBundle(f *testing.F) {
 	RegisterGobModels()
 	for _, l := range []ml.Learner{c45.NewLearner(), ripper.NewLearner(), nbayes.NewLearner()} {
@@ -131,16 +132,18 @@ func FuzzLoadBundle(f *testing.F) {
 		}
 		f.Add(payload.Bytes())
 	}
-	legacy, err := os.Open(filepath.Join("testdata", "legacy_c45_nbfallback.bin"))
-	if err != nil {
-		f.Fatal(err)
+	for _, name := range []string{"legacy_c45_nbfallback.bin", "legacy_nbc.bin"} {
+		legacy, err := os.Open(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		payload, err := ReadFrame(legacy, snapshotMagic, 1)
+		legacy.Close()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
 	}
-	defer legacy.Close()
-	payload, err := ReadFrame(legacy, snapshotMagic, snapshotVersion)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(payload)
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var framed bytes.Buffer

@@ -37,9 +37,17 @@ import (
 // as corruption, as is any length or checksum mismatch. Model snapshots
 // use magic "CFAS" with a gob payload; the serve checkpoint format
 // reuses the same frame (WriteFrame/ReadFrame) under its own magic.
+//
+// Snapshot version 2 payloads carry Naive Bayes models and C4.5 trees in
+// their binary encodings (nbayes.Model and c45.Tree GobEncode); version 1
+// payloads carry them as gob structs. ReadSnapshot reads both, and a
+// build that reads only version 1 refuses a version 2 file with
+// ErrSnapshotFormat instead of calling it corrupt.
 const (
 	snapshotMagic   = "CFAS"
-	snapshotVersion = 1
+	snapshotVersion = 2
+	// snapshotOldest is the oldest snapshot version ReadSnapshot reads.
+	snapshotOldest = 1
 	// FrameHeaderLen is the fixed size of the frame header in bytes.
 	FrameHeaderLen = 18
 	snapshotHdrLen = FrameHeaderLen
@@ -74,11 +82,55 @@ var ErrSnapshotCorrupt = errors.New("model snapshot corrupt")
 // RegisterGobModels makes the concrete classifier types gob-encodable
 // behind the ml.Classifier interface. The snapshot codec calls it
 // automatically; callers embedding an Analyzer in their own gob streams
-// must call it before encoding or decoding.
+// must call it before encoding or decoding. Such a caller decoding a
+// stream that an older build wrote gets each Naive Bayes model as an
+// unexported legacy type that scores through PredictProba but compiles
+// to no fused kernel; Load and ReadSnapshot convert those to
+// *nbayes.Model.
+//
+// *nbayes.Model registers under nbGobName. The gob name *nbayes.Model
+// belongs to the struct encoding earlier builds wrote, which gob will not
+// decode into a type that has GobDecode, so that name maps to
+// legacyNBModel.
 func RegisterGobModels() {
 	gob.Register(&c45.Tree{})
 	gob.Register(&ripper.RuleSet{})
-	gob.Register(&nbayes.Model{})
+	gob.RegisterName(nbGobName, &nbayes.Model{})
+	gob.RegisterName("*nbayes.Model", &legacyNBModel{})
+}
+
+// nbGobName names *nbayes.Model's binary encoding in a gob stream.
+const nbGobName = "*nbayes.Model/2"
+
+// legacyNBModel is *nbayes.Model as snapshot version 1 payloads carry it:
+// the same fields, gob-encoded as a struct. It has no gob methods, and
+// its one method exists because gob assigns each decoded model to
+// ml.Classifier. ReadSnapshot converts every one to *nbayes.Model, so no
+// caller of Load or LoadBundleFile sees this type.
+type legacyNBModel nbayes.Model
+
+// PredictProba implements ml.Classifier.
+func (m *legacyNBModel) PredictProba(x []int) []float64 {
+	return (*nbayes.Model)(m).PredictProba(x)
+}
+
+// upgradeModels converts each legacy Naive Bayes model of a decoded
+// bundle or analyzer to *nbayes.Model, in place and without a copy.
+func upgradeModels(v any) {
+	switch v := v.(type) {
+	case *Bundle:
+		upgradeModels(v.Analyzer)
+		upgradeModels(v.Fallback)
+	case *Analyzer:
+		if v == nil {
+			return
+		}
+		for i, m := range v.Models {
+			if m, ok := m.(*legacyNBModel); ok {
+				v.Models[i] = (*nbayes.Model)(m)
+			}
+		}
+	}
 }
 
 // WriteFrame writes payload under a versioned, CRC-checked frame header.
@@ -105,8 +157,14 @@ func WriteFrame(w io.Writer, magic string, version uint16, payload []byte) error
 // length, checksum — and returns its payload. Every failure mode maps to
 // ErrSnapshotFormat (not one of ours, or a version this build does not
 // read) or ErrSnapshotCorrupt (damaged), so callers holding previous
-// state can keep it on any error.
+// state can keep it on any error. The version must match exactly.
 func ReadFrame(r io.Reader, magic string, version uint16) ([]byte, error) {
+	return readFrame(r, magic, version, version)
+}
+
+// readFrame is ReadFrame for a frame of any version from oldest to
+// newest.
+func readFrame(r io.Reader, magic string, oldest, newest uint16) ([]byte, error) {
 	var hdr [FrameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: header truncated (%v)", ErrSnapshotCorrupt, err)
@@ -114,9 +172,12 @@ func ReadFrame(r io.Reader, magic string, version uint16) ([]byte, error) {
 	if string(hdr[:4]) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q, want %q (legacy unversioned file?)", ErrSnapshotFormat, hdr[:4], magic)
 	}
-	if ver := binary.BigEndian.Uint16(hdr[4:6]); ver != version {
-		return nil, fmt.Errorf("%w: file version %d, this build reads version %d",
-			ErrSnapshotFormat, ver, version)
+	if ver := binary.BigEndian.Uint16(hdr[4:6]); ver < oldest || ver > newest {
+		reads := fmt.Sprintf("version %d", newest)
+		if oldest != newest {
+			reads = fmt.Sprintf("versions %d to %d", oldest, newest)
+		}
+		return nil, fmt.Errorf("%w: file version %d, this build reads %s", ErrSnapshotFormat, ver, reads)
 	}
 	wantCRC := binary.BigEndian.Uint32(hdr[6:10])
 	length := binary.BigEndian.Uint64(hdr[10:18])
@@ -158,19 +219,23 @@ func WriteSnapshot(w io.Writer, v any) error {
 	return WriteFrame(w, snapshotMagic, snapshotVersion, payload.Bytes())
 }
 
-// ReadSnapshot validates a snapshot written by WriteSnapshot — magic,
-// version, length, checksum — and only then gob-decodes the payload into
-// v. Every failure mode maps to ErrSnapshotFormat or ErrSnapshotCorrupt
-// so callers can distinguish "not one of ours" from "damaged".
+// ReadSnapshot validates a snapshot written by WriteSnapshot, this
+// build's or an older one's — magic, version, length, checksum — and only
+// then gob-decodes the payload into v. When v is a *Bundle or an
+// *Analyzer, every Naive Bayes model decodes as an *nbayes.Model,
+// whichever version wrote it. Every failure mode maps to
+// ErrSnapshotFormat or ErrSnapshotCorrupt so callers can distinguish "not
+// one of ours" from "damaged".
 func ReadSnapshot(r io.Reader, v any) error {
 	RegisterGobModels()
-	payload, err := ReadFrame(r, snapshotMagic, snapshotVersion)
+	payload, err := readFrame(r, snapshotMagic, snapshotOldest, snapshotVersion)
 	if err != nil {
 		return err
 	}
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
 		return fmt.Errorf("%w: decode payload: %v", ErrSnapshotCorrupt, err)
 	}
+	upgradeModels(v)
 	return nil
 }
 
@@ -247,11 +312,16 @@ func (a *Analyzer) Save(w io.Writer) error {
 	return WriteSnapshot(w, a)
 }
 
-// Load deserialises an analyzer written by Save.
+// Load deserialises an analyzer written by Save. Like a bundle's, a
+// sub-model whose dimensions its learner's Fit could not have produced
+// is rejected as ErrSnapshotCorrupt: scoring indexes by them.
 func Load(r io.Reader) (*Analyzer, error) {
 	var a Analyzer
 	if err := ReadSnapshot(r, &a); err != nil {
 		return nil, err
+	}
+	if err := a.checkShape(); err != nil {
+		return nil, fmt.Errorf("%w: analyzer: %v", ErrSnapshotCorrupt, err)
 	}
 	return &a, nil
 }
@@ -261,13 +331,18 @@ func (a *Analyzer) SaveFile(path string) error {
 	return WriteSnapshotFile(path, a)
 }
 
-// LoadFile reads an analyzer from path.
+// LoadFile reads an analyzer from path as Load does.
 func LoadFile(path string) (*Analyzer, error) {
-	var a Analyzer
-	if err := ReadSnapshotFile(path, &a); err != nil {
-		return nil, err
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("core: open model file: %w", err)
 	}
-	return &a, nil
+	defer f.Close()
+	a, err := Load(f)
+	if err != nil {
+		return nil, fmt.Errorf("model %s: %w", path, err)
+	}
+	return a, nil
 }
 
 // Bundle is the deployable model artifact `cfa train` emits and the

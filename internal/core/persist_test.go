@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -27,14 +28,20 @@ func testBundle(t testing.TB) *Bundle {
 	return testBundleOf(t, nbayes.NewLearner())
 }
 
-// testBundleOf is testBundle with the ensemble trained by l.
-func testBundleOf(t testing.TB, l ml.Learner) *Bundle {
-	t.Helper()
+// testBundleRows are the rows testBundleOf trains on.
+func testBundleRows() [][]float64 {
 	rows := make([][]float64, 0, 120)
 	for i := 0; i < 120; i++ {
 		base := float64(i % 10)
 		rows = append(rows, []float64{base, base * 2, base * 3, float64(i % 3)})
 	}
+	return rows
+}
+
+// testBundleOf is testBundle with the ensemble trained by l.
+func testBundleOf(t testing.TB, l ml.Learner) *Bundle {
+	t.Helper()
+	rows := testBundleRows()
 	disc, err := features.Fit(rows, []string{"a", "b", "c", "d"}, features.FitOptions{Buckets: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -354,6 +361,166 @@ func TestLegacyFallbackBundle(t *testing.T) {
 	}
 	if h != legacyBundleDigest {
 		t.Fatalf("legacy bundle score digest %#x, want %#x", h, uint64(legacyBundleDigest))
+	}
+}
+
+// legacyNBCDigest is legacyBundleDigest's digest for
+// testdata/legacy_nbc.bin, recorded when it was written: a snapshot
+// version 1 bundle, written as `cfa train -learner NBC` writes one, of
+// testBundleOf's rows with Naive Bayes sub-models.
+const legacyNBCDigest = 0x3355ab57137ce0dd
+
+// TestLegacyNBCBundle loads a bundle whose Naive Bayes models gob wrote
+// as structs, before they had a binary encoding. Every model must load as
+// an *nbayes.Model, the ensemble must compile to the fused kernel, and it
+// must score exactly as it did when it was written, through Score and
+// through ScoreAll.
+func TestLegacyNBCBundle(t *testing.T) {
+	path := filepath.Join("testdata", "legacy_nbc.bin")
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ReadFrame(f, snapshotMagic, 1)
+	f.Close()
+	if err != nil {
+		t.Fatalf("fixture is not a version 1 snapshot: %v", err)
+	}
+	b, err := LoadBundleFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range b.Analyzer.Models {
+		if _, ok := m.(*nbayes.Model); !ok {
+			t.Fatalf("sub-model %d loaded as %T, want *nbayes.Model", i, m)
+		}
+	}
+	if st := b.Analyzer.Compile(); st.Models != 4 || st.TableEntries == 0 {
+		t.Fatalf("legacy NBC bundle compiled %d models, %d fused table entries; want 4 fused", st.Models, st.TableEntries)
+	}
+	ds, err := b.Discretizer.Dataset(testBundleRows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := b.Analyzer.ScoreAll(ds, b.Scorer)
+	h := uint64(14695981039346656037)
+	for i, v := range all {
+		h ^= math.Float64bits(v)
+		h *= 1099511628211
+		if one := b.Analyzer.Score(ds.X[i], b.Scorer); math.Float64bits(one) != math.Float64bits(v) {
+			t.Fatalf("row %d: Score %v != ScoreAll %v", i, one, v)
+		}
+	}
+	if h != legacyNBCDigest {
+		t.Fatalf("legacy NBC bundle score digest %#x, want %#x", h, uint64(legacyNBCDigest))
+	}
+}
+
+// TestSnapshotVersion2RoundTrip writes a bundle of each learner in the
+// current format and reads it back: it must be stamped version 2, which a
+// build that reads only version 1 refuses as ErrSnapshotFormat, and it
+// must load with the same model types and score every row bit for bit as
+// the analyzer that wrote it, under both scorers.
+func TestSnapshotVersion2RoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	for _, l := range []ml.Learner{nbayes.NewLearner(), c45.NewLearner(), ripper.NewLearner()} {
+		b := testBundleOf(t, l)
+		path := filepath.Join(dir, l.Name()+".bin")
+		if err := b.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := binary.BigEndian.Uint16(data[4:6]); v != 2 {
+			t.Fatalf("%s: snapshot version %d, want 2", l.Name(), v)
+		}
+		if _, err := ReadFrame(bytes.NewReader(data), snapshotMagic, 1); !errors.Is(err, ErrSnapshotFormat) {
+			t.Fatalf("%s: a version 1 reader gets %v, want ErrSnapshotFormat", l.Name(), err)
+		}
+		got, err := LoadBundleFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range got.Analyzer.Models {
+			if want := b.Analyzer.Models[i]; reflect.TypeOf(m) != reflect.TypeOf(want) {
+				t.Fatalf("%s: sub-model %d loaded as %T, want %T", l.Name(), i, m, want)
+			}
+		}
+		if st := got.Analyzer.Compile(); st.Models != 4 {
+			t.Fatalf("%s: loaded bundle compiled %d of 4 models", l.Name(), st.Models)
+		}
+		ds, err := b.Discretizer.Dataset(testBundleRows())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []Scorer{MatchCount, Probability} {
+			want, all := b.Analyzer.ScoreAll(ds, s), got.Analyzer.ScoreAll(ds, s)
+			for i := range want {
+				one := got.Analyzer.Score(ds.X[i], s)
+				if math.Float64bits(all[i]) != math.Float64bits(want[i]) || math.Float64bits(one) != math.Float64bits(want[i]) {
+					t.Fatalf("%s/%v row %d: reloaded ScoreAll %v, Score %v; the writer scored %v", l.Name(), s, i, all[i], one, want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestLoadRejectsMisshapedAnalyzer is the regression test for analyzer
+// snapshots whose sub-models Fit could not have produced: Load returned
+// them without the shape check bundles get, and the first Score of a
+// Naive Bayes analyzer with a table cut to one class row panicked with
+// index out of range. Load, LoadFile and the public LoadAnalyzer (which
+// is Load) must reject each as ErrSnapshotCorrupt.
+func TestLoadRejectsMisshapedAnalyzer(t *testing.T) {
+	cases := []struct {
+		name    string
+		learner ml.Learner
+		damage  func(a *Analyzer)
+	}{
+		{"NBC class rows cut to one", nbayes.NewLearner(), func(a *Analyzer) {
+			m := a.Models[0].(*nbayes.Model)
+			m.LogCond[1] = m.LogCond[1][:1]
+		}},
+		{"C4.5 histogram short", c45.NewLearner(), func(a *Analyzer) {
+			r := a.Models[2].(*c45.Tree).Root
+			r.Counts = r.Counts[:len(r.Counts)-1]
+		}},
+		{"RIPPER default short", ripper.NewLearner(), func(a *Analyzer) {
+			rs := a.Models[1].(*ripper.RuleSet)
+			rs.Default = rs.Default[:1]
+		}},
+		{"model slot missing", nbayes.NewLearner(), func(a *Analyzer) { a.Models = a.Models[:3] }},
+	}
+	dir := t.TempDir()
+	for _, tc := range cases {
+		a := testBundleOf(t, tc.learner).Analyzer
+		tc.damage(a)
+		var buf bytes.Buffer
+		if err := a.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("%s: Load error = %v, want ErrSnapshotCorrupt", tc.name, err)
+		}
+		path := filepath.Join(dir, "analyzer.bin")
+		if err := a.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadFile(path); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("%s: LoadFile error = %v, want ErrSnapshotCorrupt", tc.name, err)
+		}
+	}
+	// The undamaged analyzers still load.
+	for _, l := range []ml.Learner{nbayes.NewLearner(), c45.NewLearner(), ripper.NewLearner()} {
+		var buf bytes.Buffer
+		if err := testBundleOf(t, l).Analyzer.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err != nil {
+			t.Errorf("well-shaped %s analyzer rejected: %v", l.Name(), err)
+		}
 	}
 }
 

@@ -34,15 +34,29 @@ type AuditRecord struct {
 }
 
 // WriteAuditTrace writes the header, the feature-name list and all
-// records. Every record must have len(names) values.
+// records. It refuses, before writing a byte, any trace ReadAuditTrace
+// would reject: no records, no feature names, a name holding a tab, a
+// newline or a carriage return, or a record without exactly len(names)
+// values.
 func WriteAuditTrace(w io.Writer, names []string, recs []AuditRecord) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, AuditTraceHeader)
-	fmt.Fprintln(bw, strings.Join(names, "\t"))
+	line := strings.Join(names, "\t")
+	switch {
+	case len(recs) == 0:
+		return fmt.Errorf("trace: audit trace has no records")
+	case line == "":
+		return fmt.Errorf("trace: audit trace has no feature names")
+	case strings.ContainsAny(line, "\n\r") || strings.Count(line, "\t") != len(names)-1:
+		return fmt.Errorf("trace: audit trace feature names contain a tab, a newline or a carriage return")
+	}
 	for i, r := range recs {
 		if len(r.Values) != len(names) {
 			return fmt.Errorf("trace: audit record %d has %d values, want %d", i, len(r.Values), len(names))
 		}
+	}
+	bw := bufio.NewWriter(w)
+	fmt.Fprintln(bw, AuditTraceHeader)
+	fmt.Fprintln(bw, line)
+	for _, r := range recs {
 		bw.WriteString(strconv.FormatFloat(r.Time, 'g', -1, 64))
 		for _, v := range r.Values {
 			bw.WriteByte('\t')

@@ -68,6 +68,35 @@ func TestWriteAuditTraceRejectsRaggedRecords(t *testing.T) {
 	}
 }
 
+// TestWriteAuditTraceRejectsUnreadable is the regression test for traces
+// WriteAuditTrace wrote without error and ReadAuditTrace then rejected:
+// each case must fail before a byte is written.
+func TestWriteAuditTraceRejectsUnreadable(t *testing.T) {
+	one := []AuditRecord{{Time: 1, Values: []float64{2, 3}}}
+	cases := []struct {
+		name  string
+		names []string
+		recs  []AuditRecord
+	}{
+		{"tab in a name", []string{"a\tb", "c"}, one},
+		{"newline in a name", []string{"a\nb", "c"}, one},
+		{"carriage return in a name", []string{"a", "c\r"}, one},
+		{"no names", nil, []AuditRecord{{Time: 1}}},
+		{"one empty name", []string{""}, []AuditRecord{{Time: 1, Values: []float64{2}}}},
+		{"no records", []string{"a", "b"}, nil},
+		{"ragged record", []string{"a", "b"}, append(one, AuditRecord{Time: 2, Values: []float64{1}})},
+	}
+	for _, tc := range cases {
+		var buf bytes.Buffer
+		if err := WriteAuditTrace(&buf, tc.names, tc.recs); err == nil {
+			t.Errorf("%s: WriteAuditTrace accepted a trace ReadAuditTrace rejects", tc.name)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: WriteAuditTrace wrote %d bytes before failing", tc.name, buf.Len())
+		}
+	}
+}
+
 // sameAuditTrace reports whether two decoded traces hold the same names
 // and records, values compared by bit pattern except that NaN equals NaN.
 func sameAuditTrace(n1 []string, r1 []AuditRecord, n2 []string, r2 []AuditRecord) bool {
