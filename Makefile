@@ -91,11 +91,11 @@ metrics-lint:
 # version 2 bundle of each learner must score as the analyzer that wrote
 # it, and the Naive Bayes and C4.5 binary encodings must round-trip any
 # shape (C4.5's old flatTree form too). Last, ten times over under the
-# race detector, the row split of Train's normal-level pass and the training-row tallies
-# it keeps for ScoreAll: worker-count invariance against the serial
-# results, concurrent ScoreAll callers on one compiled analyzer, when
-# ScoreAll reads the tallies, and a worker's panic re-raised on the
-# caller.
+# race detector, the row split of Train's normal-level pass and the
+# training-row tallies it keeps for ScoreAll: worker-count invariance
+# against the serial results, concurrent ScoreAll callers on one compiled
+# analyzer, when ScoreAll reads the tallies, and a worker's panic
+# re-raised on the caller.
 score-diff:
 	$(GO) test -race -run 'TestCompiledDifferential|TestFuseRejectsMisshapes' -count 1 ./internal/ml/...
 	$(GO) test -race -count 1 \
@@ -224,7 +224,9 @@ serve-smoke:
 bench-vet:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
-# fuzz gives each fuzz target a brief budget beyond its seed corpus.
+# fuzz gives each fuzz target a brief budget beyond its seed corpus, the
+# Naive Bayes and C4.5 model decoders (FuzzModelGobDecode,
+# FuzzTreeGobDecode) included.
 fuzz:
 	$(GO) test ./internal/features/ -fuzz FuzzTransformValue -fuzztime 10s
 	$(GO) test ./internal/features/ -fuzz FuzzReadCSV -fuzztime 10s

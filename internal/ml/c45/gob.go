@@ -10,7 +10,16 @@ import (
 	"crossfeature/internal/ml"
 )
 
-// GobEncode writes a tree in preorder, no gob of its own:
+// maxSplitCard bounds the children span a decoded node may declare, and
+// so the children slab a header may declare per node. Attribute
+// cardinalities are the discretiser's buckets + 4 (9 at the paper's five
+// buckets), so a wider span would take over 4,092 buckets.
+const maxSplitCard = 1 << 12
+
+var errCorrupt = errors.New("c45: corrupt tree encoding")
+
+// GobEncode implements gob.GobEncoder. It writes the tree in preorder,
+// with no gob of its own:
 //
 //	byte     0
 //	varint   Target, Classes
@@ -25,16 +34,6 @@ import (
 //
 // No gob stream starts with a zero byte, so GobDecode tells this form from
 // the flatTree gob that earlier builds wrote.
-
-// maxSplitCard bounds the children span a decoded node may declare, so a
-// corrupt payload cannot size a huge allocation before anything checks
-// it. Attribute cardinalities are the discretiser's buckets + 4 (9 at the
-// paper's five buckets), so a wider span would take over 4,092 buckets.
-const maxSplitCard = 1 << 12
-
-var errCorrupt = errors.New("c45: corrupt tree encoding")
-
-// GobEncode implements gob.GobEncoder.
 func (t *Tree) GobEncode() ([]byte, error) {
 	var nodes, counts, spans int
 	var size func(n *Node)
@@ -100,12 +99,18 @@ func (t *Tree) GobDecode(data []byte) error {
 // nodes than the links reach, totals that the nodes do not add up to,
 // and trailing bytes. Each node is linked once, from the node it follows
 // in preorder, so the decoded tree is never shared or cyclic.
+//
+// A span takes no input, so the spans are cut from chunks of at most
+// maxSplitCard slots, each allocated when a node needs it: a header alone
+// cannot size a large allocation. A tree whose spans total at most
+// maxSplitCard takes one chunk.
 func (t *Tree) decodePreorder(data []byte) error {
 	r := ml.NewWireReader(data)
 	target, classes := r.Int(), r.Int()
 	nodes := make([]Node, r.Len(4)) // attribute, counts, span, children: a byte each at least
 	counts := make([]int, r.Len(1))
-	spans := make([]*Node, r.Uint(len(nodes)*maxSplitCard))
+	spanLeft := r.Uint(len(nodes) * maxSplitCard) // declared span slots no node has taken yet
+	var spans []*Node
 	// open holds the ancestors of the next node that still await children.
 	type open struct {
 		n          *Node
@@ -137,10 +142,13 @@ func (t *Tree) decodePreorder(data []byte) error {
 				n.Counts[c] = r.Int()
 			}
 		}
-		if span := r.Uint(maxSplitCard); span > len(spans) {
+		if span := r.Uint(maxSplitCard); span > spanLeft {
 			return errCorrupt
 		} else if span > 0 {
-			n.Children, spans = spans[:span:span], spans[span:]
+			if span > len(spans) {
+				spans = make([]*Node, min(spanLeft, maxSplitCard))
+			}
+			n.Children, spans, spanLeft = spans[:span:span], spans[span:], spanLeft-span
 		}
 		if kids := r.Len(1); kids > 0 {
 			stack = append(stack, open{n: n, kids: kids, last: -1})
@@ -149,7 +157,7 @@ func (t *Tree) decodePreorder(data []byte) error {
 			return errCorrupt
 		}
 	}
-	if r.Failed() || len(stack) > 0 || len(counts) > 0 || len(spans) > 0 || len(r.Rest()) > 0 {
+	if r.Failed() || len(stack) > 0 || len(counts) > 0 || spanLeft > 0 || len(r.Rest()) > 0 {
 		return errCorrupt
 	}
 	t.Target, t.Classes, t.Root = target, classes, nil

@@ -114,9 +114,9 @@ func TestPreorderRoundTrip(t *testing.T) {
 // write: every truncation, trailing bytes, lengths declared past the
 // input, spans past maxSplitCard, child values outside the span or out of
 // order, node counts the links do not reach, and totals the nodes do not
-// add up to. A header declaring a
-// huge node count over a few bytes is rejected before anything of that
-// size is allocated.
+// add up to. A header declaring a huge node count over a few bytes, or
+// maxSplitCard span slots for each of 50 empty nodes, is rejected before
+// anything of that size is allocated.
 func TestPreorderDecodeRejectsCorrupt(t *testing.T) {
 	good := encodeTree(t, fittedTree(t))
 	for cut := 0; cut < len(good); cut++ {
@@ -160,6 +160,8 @@ func TestPreorderDecodeRejectsCorrupt(t *testing.T) {
 		"fewer nodes than linked":  enc(2, 2, 2, node(2, 2), v(0), leaf),
 		"more children than span":  enc(4, 4, 2, node(2, 3), v(0), leaf, v(1), leaf, v(2), leaf),
 		"kids past input":          enc(1, 1, 2, node(2, 1<<40)),
+		"span past maxSplitCard":   enc(2, 2, 2*maxSplitCard, node(maxSplitCard+1, 1), v(0), leaf),
+		"span total over no nodes": append(enc(50, 0, 50*maxSplitCard), make([]byte, 4*50)...),
 		"no root but trailing":     enc(0, 0, 0, v(0)),
 		"overlong varint in count": append(enc(1, 1, 0, v(1)), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01),
 	}
@@ -176,15 +178,8 @@ func TestPreorderDecodeRejectsCorrupt(t *testing.T) {
 			t.Errorf("%s: rejecting %d bytes allocated %d bytes", name, len(data), got)
 		}
 	}
-	// A span takes no input, so the children slab is sized by the
-	// declared total, up to maxSplitCard slots per declared node, before
-	// any node is read. A node past the per-node bound is still rejected,
-	// after that allocation.
-	var tr Tree
-	if err := tr.GobDecode(enc(2, 2, 2*maxSplitCard, node(maxSplitCard+1, 1), v(0), leaf)); err == nil {
-		t.Error("span past maxSplitCard: corrupt encoding decoded without error")
-	}
 	// The well-formed neighbour of these encodings still decodes.
+	var tr Tree
 	if err := tr.GobDecode(enc(3, 3, 2, node(2, 2), v(0), leaf, v(1), leaf)); err != nil {
 		t.Fatalf("well-formed encoding: %v", err)
 	}

@@ -32,18 +32,7 @@ func fittedModel(tb testing.TB) *Model {
 // values compared by bits. A nil table or row equals an empty one: the
 // encoding keeps lengths only, and every reader treats both alike.
 func sameModel(a, b *Model) bool {
-	sameRow := func(x, y []float64) bool {
-		if len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if a.Target != b.Target || !sameRow(a.LogPrior, b.LogPrior) || len(a.LogCond) != len(b.LogCond) {
+	if a.Target != b.Target || !sameBits(a.LogPrior, b.LogPrior) || len(a.LogCond) != len(b.LogCond) {
 		return false
 	}
 	for t := range a.LogCond {
@@ -51,7 +40,7 @@ func sameModel(a, b *Model) bool {
 			return false
 		}
 		for c := range a.LogCond[t] {
-			if !sameRow(a.LogCond[t][c], b.LogCond[t][c]) {
+			if !sameBits(a.LogCond[t][c], b.LogCond[t][c]) {
 				return false
 			}
 		}

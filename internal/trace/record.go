@@ -34,10 +34,10 @@ type AuditRecord struct {
 }
 
 // WriteAuditTrace writes the header, the feature-name list and all
-// records. It refuses, before writing a byte, any trace ReadAuditTrace
-// would reject: no records, no feature names, a name holding a tab, a
-// newline or a carriage return, or a record without exactly len(names)
-// values.
+// records. Before writing a byte it refuses a trace whose shape
+// ReadAuditTrace would reject: no records, no feature names, a name
+// holding a tab, a newline or a carriage return, or a record without
+// exactly len(names) values.
 func WriteAuditTrace(w io.Writer, names []string, recs []AuditRecord) error {
 	line := strings.Join(names, "\t")
 	switch {
